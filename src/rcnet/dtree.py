@@ -13,6 +13,11 @@ Annotations per node t:
     context(t)  vars(t) & acutset(t)
     cluster(t)  cutset | context (internal), vars(t) (leaf)
 
+annotate() computes these top down, as cutset(t) = vars(left) &
+vars(right) - context(t) and context(child) = vars(child) & cluster(t),
+so no node stores its acutset; the acutset property walks the parent
+chain when asked.
+
 Width is the largest cluster size minus one; context width is the
 largest context size.  Cache accounting counts one cell per context
 instantiation at caching nodes; the root and the leaves never cache, and
@@ -61,8 +66,8 @@ class DtreeNode:
 
     __slots__ = (
         "id", "var", "left", "right", "parent",
-        "vars", "acutset", "cutset", "context", "cluster",
-        "cache_state", "cells", "network",
+        "vars", "cutset", "context", "cluster",
+        "cache_state", "cells", "network", "plan",
     )
 
     def __init__(self, var: int | None = None,
@@ -74,17 +79,27 @@ class DtreeNode:
         self.right = right
         self.parent: DtreeNode | None = None
         self.vars: frozenset[int] = frozenset()
-        self.acutset: frozenset[int] = frozenset()
         self.cutset: frozenset[int] = frozenset()
         self.context: frozenset[int] = frozenset()
         self.cluster: frozenset[int] = frozenset()
         self.cache_state = DEAD
         self.cells = 0
         self.network: Network | None = None
+        self.plan = None  # the root's query plan (engine.QueryPlan), cleared by annotate()
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+    @property
+    def acutset(self) -> frozenset[int]:
+        """Union of the ancestors' cutsets, gathered along the parent chain."""
+        out: set[int] = set()
+        node = self.parent
+        while node is not None:
+            out |= node.cutset
+            node = node.parent
+        return frozenset(out)
 
     def __repr__(self) -> str:
         if self.is_leaf:
@@ -229,14 +244,21 @@ def dtree_from_shape(network: Network, shape) -> DtreeNode:
     A shape is either a variable name (leaf for that variable's family)
     or a two-element sequence [left_shape, right_shape].
     """
-    def build(s) -> DtreeNode:
+    # an explicit stack, so that shapes deeper than the recursion limit build
+    built: list[DtreeNode] = []
+    stack = [(shape, False)]
+    while stack:
+        s, children_built = stack.pop()
         if isinstance(s, str):
-            return DtreeNode(var=network.var_id(s))
-        if isinstance(s, (list, tuple)) and len(s) == 2:
-            return DtreeNode(left=build(s[0]), right=build(s[1]))
-        raise ValueError(f"bad dtree shape element: {s!r}")
-
-    return _finish(build(shape), network)
+            built.append(DtreeNode(var=network.var_id(s)))
+        elif not (isinstance(s, (list, tuple)) and len(s) == 2):
+            raise ValueError(f"bad dtree shape element: {s!r}")
+        elif children_built:
+            right = built.pop()
+            built.append(DtreeNode(left=built.pop(), right=right))
+        else:
+            stack += [(s, True), (s[1], False), (s[0], False)]
+    return _finish(built[0], network)
 
 
 def prepare_dtree(network: Network, order: Sequence[int] | None = None) -> DtreeNode:
@@ -263,7 +285,7 @@ def iter_nodes(root: DtreeNode) -> Iterator[DtreeNode]:
 
 
 def annotate(root: DtreeNode) -> DtreeStats:
-    """Fill vars/acutset/cutset/context/cluster and reset cache states.
+    """Fill vars/cutset/context/cluster and reset cache states and the query plan.
 
     Caching candidates (internal non-root nodes) start live; the root
     and the leaves never cache.  Raises ValueError when the leaves do
@@ -297,26 +319,27 @@ def annotate(root: DtreeNode) -> DtreeStats:
     if sorted(seen_vars) != list(range(network.n)):
         raise ValueError("dtree leaves do not cover every network variable exactly once")
 
+    # Top down: a child's context is its vars within its parent's cluster,
+    # which holds every ancestor cutset variable the child mentions, so no
+    # node stores its acutset.
     cards = network.cards
-    work: list[tuple[DtreeNode, DtreeNode | None, frozenset[int]]] = [(root, None, frozenset())]
-    while work:
-        node, parent, acutset = work.pop()
-        node.parent = parent
-        node.acutset = acutset
-        node.context = node.vars & acutset
+    root.plan = None
+    root.parent = None
+    root.context = frozenset()
+    for node in iter_nodes(root):
         if node.is_leaf:
             node.cutset = frozenset()
             node.cluster = node.vars
             node.cache_state = DEAD
             node.cells = 0
-        else:
-            node.cutset = (node.left.vars & node.right.vars) - acutset
-            node.cluster = node.cutset | node.context
-            node.cells = instantiation_count(node.context, cards)
-            node.cache_state = DEAD if parent is None else LIVE
-            below = acutset | node.cutset
-            work.append((node.left, node, below))
-            work.append((node.right, node, below))
+            continue
+        node.cutset = (node.left.vars & node.right.vars) - node.context
+        node.cluster = node.cutset | node.context
+        node.cells = instantiation_count(node.context, cards)
+        node.cache_state = DEAD if node.parent is None else LIVE
+        for child in (node.left, node.right):
+            child.parent = node
+            child.context = child.vars & node.cluster
     return dtree_stats(root)
 
 

@@ -3,16 +3,30 @@
 A query walks the dtree: a leaf answers from its CPT (or 1 when its
 variable is unobserved and unconditioned); an internal node sums, over
 the instantiations of its not-yet-assigned cutset variables, the
-product of its two subtree values, recording each instantiation around
+product of its two subtree values, assigning each instantiation around
 the recursion.  Results at an internal node are cached per context
 instantiation, so caching trades memory for repeated work; any subset
 of caches may be enabled without affecting the returned probability.
 
+The walk runs over a QueryPlan, lists indexed by node id that are
+lowered once per annotated dtree and network and kept on the dtree's
+root (DtreeNode.plan) until annotate() runs again or another network
+object is queried: each node's children, its cutset as a sorted tuple,
+its context as (variable, stride) pairs and its cell count, and at each
+leaf its variable and the (parent, stride) pairs that index its family's
+row of the CPT entries directly.  Log-domain leaf tables are added the
+first time a log-domain query needs them.  Each query builds only what
+depends on it: the cache tables (dead-cache marking and the cache policy
+decide which exist), one assignment list and its counters.  Leaves and
+cache hits are answered in one function and the cutset loop runs in
+another; the recursion takes two Python frames per dtree level, and a
+deep dtree raises the recursion limit for the query alone.
+
 With a knowledge base attached, every cutset instantiation is asserted
 before recursing; a contradiction proves the branch carries zero
-probability and it is skipped outright.  Only recorded assignments are
-visible to leaf lookups; KB-implied values never are, which keeps the
-unobserved-leaf sum-to-1 shortcut exact.
+probability and it is skipped outright.  Only assigned evidence and
+cutset values are visible to leaf lookups; KB-implied values never are,
+which keeps the unobserved-leaf sum-to-1 shortcut exact.
 """
 
 from __future__ import annotations
@@ -25,12 +39,16 @@ from typing import Mapping
 
 from .dtree import DtreeNode, DISABLED, LIVE, iter_nodes
 from .kb import KnowledgeBase, Literal
-from .model import Network, validate_evidence
+from .model import Network, TabularCpt, validate_evidence
 
 LOG_ZERO = float("-inf")
+UNASSIGNED = -1
 
 # dense cache tables above this many cells switch to keyed storage
 DENSE_CACHE_LIMIT = 1 << 20
+
+# frames a query may need beyond its recursion: comprehensions, CPT and KB calls
+RECURSION_HEADROOM = 100
 
 __all__ = [
     "LOG_ZERO",
@@ -51,7 +69,7 @@ class Recorder:
     evidence is never overwritten, and unrecord restores 'unassigned'.
     """
 
-    UNASSIGNED = -1
+    UNASSIGNED = UNASSIGNED
 
     def __init__(self, cards):
         n = len(cards)
@@ -196,27 +214,109 @@ def lookup(network: Network, leaf: DtreeNode, recorder: Recorder,
     return p
 
 
-class _Counters:
-    __slots__ = ("rc_calls", "hits", "misses", "written", "kb_skips")
+class _SparseCache(dict):
+    """Keyed cache table for contexts too large for a dense list; an
+    empty cell reads as None, as in a dense one."""
 
-    def __init__(self):
-        self.rc_calls = 0
-        self.hits = 0
-        self.misses = 0
-        self.written = 0
-        self.kb_skips = 0
+    def __missing__(self, key):
+        return None
 
 
-def _tree_height(root: DtreeNode) -> int:
-    depth = {root.id: 1}
-    best = 1
-    for node in iter_nodes(root):
-        d = depth[node.id]
-        best = max(best, d)
-        if not node.is_leaf:
-            depth[node.left.id] = d + 1
-            depth[node.right.id] = d + 1
-    return best
+def _context_strides(variables, cards) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(var, stride) pairs under the ascending-id, last-fastest convention,
+    and the number of joint instantiations."""
+    strides = []
+    stride = 1
+    for v in sorted(variables, reverse=True):
+        strides.append((v, stride))
+        stride *= cards[v]
+    return tuple(strides), stride
+
+
+class QueryPlan:
+    """An annotated dtree lowered for one network into lists indexed by node id.
+
+    Leaves have left == right == -1; internal nodes have leaf_var == -1.
+    A tabular leaf reads entries[assign[var] + sum(assign[p] * stride)]
+    over its leaf_terms; a noisy-or leaf has no table and asks its CPT.
+    Queries never change a plan, except that the first log-domain query
+    fills in log_tables.
+    """
+
+    __slots__ = (
+        "network", "root", "left", "right", "cutset", "context", "cells",
+        "leaf_var", "leaf_terms", "tables", "log_tables", "height",
+    )
+
+    def __init__(self, root: DtreeNode, network: Network):
+        nodes = list(iter_nodes(root))
+        n = len(nodes)
+        cards = network.cards
+        self.network = network
+        self.root = root.id
+        self.left = [-1] * n
+        self.right = [-1] * n
+        self.cutset: list[tuple[int, ...]] = [()] * n
+        self.context: list[tuple[tuple[int, int], ...]] = [()] * n
+        self.cells = [0] * n
+        self.leaf_var = [-1] * n
+        self.leaf_terms: list[tuple[tuple[int, int], ...]] = [()] * n
+        self.tables: list[tuple[float, ...] | None] = [None] * n
+        self.log_tables: list[tuple[float, ...] | None] | None = None
+        depth = [1] * n
+        for node in nodes:  # preorder: a parent's depth is set before its children's
+            i = node.id
+            self.context[i], self.cells[i] = _context_strides(node.context, cards)
+            if not node.is_leaf:
+                self.left[i] = node.left.id
+                self.right[i] = node.right.id
+                self.cutset[i] = tuple(sorted(node.cutset))
+                depth[node.left.id] = depth[node.right.id] = depth[i] + 1
+                continue
+            cpt = network.cpts[node.var]
+            for p in cpt.parents:
+                if p not in node.context:
+                    raise RuntimeError(
+                        f"parent {network.variables[p].name!r} of "
+                        f"{network.variables[node.var].name!r} is not in its leaf's "
+                        f"context, so it may be unassigned at lookup; malformed dtree"
+                    )
+            self.leaf_var[i] = node.var
+            if isinstance(cpt, TabularCpt):
+                terms = []
+                stride = cpt.child_card
+                for p in reversed(cpt.parents):
+                    terms.append((p, stride))
+                    stride *= cards[p]
+                self.leaf_terms[i] = tuple(terms)
+                self.tables[i] = cpt.entries
+        self.height = max(depth)
+
+    def log_domain_tables(self) -> list[tuple[float, ...] | None]:
+        if self.log_tables is None:
+            self.log_tables = [
+                None if table is None
+                else tuple(math.log(p) if p > 0.0 else LOG_ZERO for p in table)
+                for table in self.tables
+            ]
+        return self.log_tables
+
+
+def _plan_for(root: DtreeNode, network: Network) -> QueryPlan:
+    """The root's plan for this network, lowered on first use."""
+    plan = root.plan
+    if plan is None or plan.network is not network:
+        plan = root.plan = QueryPlan(root, network)
+    return plan
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def _log_sum(terms: list[float]) -> float:
@@ -226,6 +326,89 @@ def _log_sum(terms: list[float]) -> float:
         return LOG_ZERO
     m = max(finite)
     return m + math.log(sum(math.exp(t - m) for t in finite))
+
+
+def _run_plan(plan: QueryPlan, caches: list, assign: list[int],
+              kb: KnowledgeBase | None, log_domain: bool) -> tuple[float, int, int, int]:
+    """Value of the plan's root under `assign`, with the hits, the cutset
+    instantiations evaluated and the KB skips.  `assign` is back to its
+    entry state on return."""
+    left, right, cutset, context = plan.left, plan.right, plan.cutset, plan.context
+    leaf_var, leaf_terms = plan.leaf_var, plan.leaf_terms
+    tables = plan.log_domain_tables() if log_domain else plan.tables
+    cpts = plan.network.cpts
+    states = [range(c) for c in plan.network.cards]
+    one = 0.0 if log_domain else 1.0
+    hits = evaluated = skips = 0
+
+    def value(t: int) -> float:
+        nonlocal hits
+        var = leaf_var[t]
+        if var >= 0:
+            x = assign[var]
+            if x < 0:
+                return one
+            table = tables[t]
+            if table is None:
+                cpt = cpts[var]
+                p = cpt.prob(x, [assign[q] for q in cpt.parents])
+                if log_domain:
+                    return math.log(p) if p > 0.0 else LOG_ZERO
+                return p
+            for q, stride in leaf_terms[t]:
+                x += assign[q] * stride
+            return table[x]
+        cache = caches[t]
+        if cache is None:
+            return expand(t)
+        key = 0
+        for v, stride in context[t]:
+            key += assign[v] * stride
+        result = cache[key]
+        if result is None:
+            result = cache[key] = expand(t)
+        else:
+            hits += 1
+        return result
+
+    def expand(t: int) -> float:
+        nonlocal evaluated, skips
+        l, r = left[t], right[t]
+        open_vars = [v for v in cutset[t] if assign[v] < 0]
+        if not open_vars:
+            evaluated += 1
+            return value(l) + value(r) if log_domain else value(l) * value(r)
+        # the last open variable varies fastest, in the innermost loop
+        *outer, last = open_vars
+        terms: list[float] = []
+        total = 0.0
+        for prefix in itertools.product(*[states[v] for v in outer]):
+            for v, s in zip(outer, prefix):
+                assign[v] = s
+            for s in states[last]:
+                assign[last] = s
+                if kb is not None:
+                    token = kb.checkpoint()
+                    if not all(kb.assert_literal(Literal(v, assign[v], True))
+                               for v in open_vars):
+                        kb.retract_to(token)
+                        skips += 1
+                        continue
+                evaluated += 1
+                if log_domain:
+                    terms.append(value(l) + value(r))
+                else:
+                    total += value(l) * value(r)
+                if kb is not None:
+                    kb.retract_to(token)
+        for v in open_vars:
+            assign[v] = UNASSIGNED
+        return _log_sum(terms) if log_domain else total
+
+    try:
+        return value(plan.root), hits, evaluated, skips
+    finally:
+        value = expand = None  # the two closures refer to each other: break the cycle
 
 
 def rc_query(
@@ -244,99 +427,24 @@ def rc_query(
     restored to its entry state before returning.
     """
     validate_evidence(network, evidence)
+    plan = _plan_for(root, network)
     states = apply_policy(root, policy or CachePolicy.full())
+    caches: list[list | _SparseCache | None] = [None] * len(plan.cells)
+    for node_id, state in states.items():
+        if state == LIVE:
+            cells = plan.cells[node_id]
+            caches[node_id] = [None] * cells if cells <= DENSE_CACHE_LIMIT else _SparseCache()
 
-    caches: dict[int, list | dict] = {}
-    for node in iter_nodes(root):
-        if states[node.id] == LIVE:
-            if node.cells <= DENSE_CACHE_LIMIT:
-                caches[node.id] = [None] * node.cells
-            else:
-                caches[node.id] = {}
-
-    # context strides under the ascending-id, last-fastest convention
-    ctx_strides: dict[int, list[tuple[int, int]]] = {}
-    for node in iter_nodes(root):
-        if node.id in caches:
-            ordered = sorted(node.context)
-            strides = []
-            stride = 1
-            for v in reversed(ordered):
-                strides.append((v, stride))
-                stride *= network.cards[v]
-            ctx_strides[node.id] = strides
-
-    recorder = Recorder(network.cards)
+    expected = [UNASSIGNED] * network.n
     for var, state in evidence.items():
-        recorder.record(var, state, "evidence")
+        expected[var] = state
+    assign = list(expected)
 
-    counters = _Counters()
-    per_node_misses: dict[int, int] = {}
-    assign = recorder.assign
-    provenance = recorder.provenance
-    cards = network.cards
-    cutset_order = {
-        node.id: sorted(node.cutset) for node in iter_nodes(root) if not node.is_leaf
-    }
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * _tree_height(root) + 100))
-
-    def rc(t: DtreeNode) -> float:
-        counters.rc_calls += 1
-        if t.is_leaf:
-            return lookup(network, t, recorder, log_domain)
-
-        cache = caches.get(t.id)
-        key = 0
-        if cache is not None:
-            for v, stride in ctx_strides[t.id]:
-                key += assign[v] * stride
-            value = cache[key] if isinstance(cache, list) else cache.get(key)
-            if value is not None:
-                counters.hits += 1
-                return value
-            counters.misses += 1
-            per_node_misses[t.id] = per_node_misses.get(t.id, 0) + 1
-
-        open_vars = [v for v in cutset_order[t.id] if assign[v] == Recorder.UNASSIGNED]
-        terms: list[float] = []
-        total = 0.0
-        for combo in itertools.product(*(range(cards[v]) for v in open_vars)):
-            for v, s in zip(open_vars, combo):
-                assign[v] = s
-                provenance[v] = "cutset"
-            if kb is not None and open_vars:
-                token = kb.checkpoint()
-                ok = True
-                for v, s in zip(open_vars, combo):
-                    if not kb.assert_literal(Literal(v, s, True)):
-                        ok = False
-                        break
-                if not ok:
-                    kb.retract_to(token)
-                    counters.kb_skips += 1
-                    for v in open_vars:
-                        assign[v] = Recorder.UNASSIGNED
-                        provenance[v] = None
-                    continue
-            if log_domain:
-                term = rc(t.left) + rc(t.right)
-                if term != LOG_ZERO:
-                    terms.append(term)
-            else:
-                total += rc(t.left) * rc(t.right)
-            if kb is not None and open_vars:
-                kb.retract_to(token)
-            for v in open_vars:
-                assign[v] = Recorder.UNASSIGNED
-                provenance[v] = None
-        value = _log_sum(terms) if log_domain else total
-
-        if cache is not None:
-            cache[key] = value
-            counters.written += 1
-        return value
-
+    limit = sys.getrecursionlimit()
+    # value() and expand() take two frames per dtree level
+    needed = _stack_depth() + 2 * plan.height + RECURSION_HEADROOM
+    if needed > limit:
+        sys.setrecursionlimit(needed)
     kb_token = kb.checkpoint() if kb is not None else None
     try:
         if kb is not None:
@@ -354,15 +462,25 @@ def rc_query(
                         log_domain=log_domain,
                         log_value=LOG_ZERO if log_domain else None,
                     )
-        value = rc(root)
+        value, hits, evaluated, skips = _run_plan(plan, caches, assign, kb, log_domain)
     finally:
+        if needed > limit:
+            sys.setrecursionlimit(limit)
         if kb_token is not None:
             kb.retract_to(kb_token)
 
-    for var in range(network.n):
-        expected = "evidence" if var in evidence else None
-        if provenance[var] != expected:
-            raise RuntimeError(f"recorder leaked an assignment on variable {var}")
+    if assign != expected:
+        var = next(v for v in range(network.n) if assign[v] != expected[v])
+        raise RuntimeError(f"query leaked an assignment on variable {var}")
+
+    # every miss fills exactly one cell
+    per_node_misses = {}
+    for node_id, cache in enumerate(caches):
+        if cache is not None:
+            filled = len(cache) if isinstance(cache, _SparseCache) else len(cache) - cache.count(None)
+            if filled:
+                per_node_misses[node_id] = filled
+    misses = sum(per_node_misses.values())
 
     if log_domain:
         probability = 0.0 if value == LOG_ZERO else math.exp(value)
@@ -372,12 +490,12 @@ def rc_query(
         log_value = None
     return QueryResult(
         probability=probability,
-        rc_calls=counters.rc_calls,
-        cache_hits=counters.hits,
-        cache_misses=counters.misses,
-        entries_written=counters.written,
+        rc_calls=1 + 2 * evaluated,
+        cache_hits=hits,
+        cache_misses=misses,
+        entries_written=misses,
         kb_enabled=kb is not None,
-        kb_skips=counters.kb_skips,
+        kb_skips=skips,
         log_domain=log_domain,
         log_value=log_value,
         per_node_misses=per_node_misses,

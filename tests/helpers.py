@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 from rcnet import Network, parse_network
 
@@ -96,3 +97,38 @@ def right_linear_shape(n: int):
     for i in range(n, 0, -1):
         shape = [f"X{i}", shape]
     return shape
+
+
+def _binary_rows(rng, rows: int) -> list[float]:
+    table: list[float] = []
+    for _ in range(rows):
+        p = round(rng.uniform(0.1, 0.9), 6)
+        table.extend([p, 1.0 - p])
+    return table
+
+
+def spine_chain_doc(n: int, seed: int) -> dict:
+    """Binary chain X1 -> X2 -> ... -> Xn -> Y with seeded tables; its names
+    fit right_linear_shape(n)."""
+    rng = random.Random(seed)
+    names = [f"X{i}" for i in range(1, n + 1)] + ["Y"]
+    cpts = [{"child": names[0], "parents": [], "kind": "table", "table": _binary_rows(rng, 1)}]
+    for parent, child in zip(names, names[1:]):
+        cpts.append(
+            {"child": child, "parents": [parent], "kind": "table", "table": _binary_rows(rng, 2)}
+        )
+    return {"variables": [{"name": v, "states": ["0", "1"]} for v in names], "cpts": cpts}
+
+
+def grid_network(side: int, seed: int) -> Network:
+    """Binary side x side grid; each cell's parents are its upper and left neighbours."""
+    rng = random.Random(seed)
+    name = lambda r, c: f"G{r}_{c}"
+    variables, cpts = [], []
+    for r in range(side):
+        for c in range(side):
+            parents = ([name(r - 1, c)] if r else []) + ([name(r, c - 1)] if c else [])
+            variables.append({"name": name(r, c), "states": ["0", "1"]})
+            cpts.append({"child": name(r, c), "parents": parents, "kind": "table",
+                         "table": _binary_rows(rng, 2 ** len(parents))})
+    return parse_network(json.dumps({"variables": variables, "cpts": cpts}))

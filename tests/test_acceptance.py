@@ -33,7 +33,7 @@ from rcnet import (
     rc_space,
     shenoy_shafer_space,
 )
-from rcnet.dtree import DEAD, iter_nodes
+from rcnet.dtree import DEAD, LIVE, iter_nodes
 from rcnet.model import TabularCpt
 from rcnet.randnet import random_evidence, random_network
 
@@ -243,16 +243,21 @@ def test_full_caching_work_bound():
     for net, evidence in suite:
         root = prepare_dtree(net)
         cells = {t.id: t.cells for t in iter_nodes(root)}
+        live_nodes = {t.id for t in iter_nodes(root) if not t.is_leaf and t.cache_state == LIVE}
         live = dtree_stats(root).cache_cells_live
         for log_domain in (False, True):
             res = rc_query(net, root, evidence, policy=CachePolicy.full(),
                            log_domain=log_domain)
+            assert set(res.per_node_misses) <= live_nodes
+            assert sum(res.per_node_misses.values()) == res.cache_misses
             for node_id, misses in res.per_node_misses.items():
                 assert misses <= cells[node_id]
             assert res.entries_written <= live
             total_written += res.entries_written
-    report("full-caching work bound holds per node and in total", True,
+    ok = total_written > 0
+    report("full-caching work bound holds per node and in total", ok,
            f"{total_written} cache entries written across the suite")
+    assert ok
 
 
 def test_unit_resolution_state_integrity():

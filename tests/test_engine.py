@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -25,7 +27,15 @@ from rcnet.dtree import DISABLED, LIVE, iter_nodes
 from rcnet.engine import LOG_ZERO
 from rcnet.randnet import random_evidence, random_network
 
-from helpers import chain_network, gate_network, right_linear_shape, star_network
+from helpers import (
+    chain_doc,
+    chain_network,
+    gate_network,
+    grid_network,
+    right_linear_shape,
+    spine_chain_doc,
+    star_network,
+)
 
 
 def rel_err(a, b):
@@ -232,15 +242,21 @@ def test_oracle_equivalence_all_modes():
 
 def test_work_bound_under_full_caching():
     rng = random.Random(51)
+    total_misses = 0
     for _ in range(25):
         net = random_network(rng, max_vars=10, max_joint=2000)
         evidence = random_evidence(rng, net)
         root = prepare_dtree(net)
         res = rc_query(net, root, evidence)
         cells = {n.id: n.cells for n in iter_nodes(root)}
+        live = {n.id for n in iter_nodes(root) if not n.is_leaf and n.cache_state == LIVE}
+        assert set(res.per_node_misses) <= live
+        assert sum(res.per_node_misses.values()) == res.cache_misses
         for node_id, misses in res.per_node_misses.items():
             assert misses <= cells[node_id]
         assert res.entries_written <= dtree_stats(root).cache_cells_live
+        total_misses += res.cache_misses
+    assert total_misses > 0
 
 
 def test_full_caching_never_slower_in_calls(chain):
@@ -409,3 +425,116 @@ def test_result_json_shape(gate):
     }
     assert set(doc["cache"]) == {"hits", "misses", "written"}
     assert set(doc["kb"]) == {"enabled", "skips"}
+
+
+# --- query plan -------------------------------------------------------------
+
+# (seed, policy, kb, log_domain, (rc_calls, hits, misses, written, kb_skips)),
+# recorded with the per-call engine that the query plan replaced, which must
+# reproduce them exactly; see pinned_case.
+PINNED_WORK = [
+    (1014, "full", False, False, (235, 9, 9, 9, 0)),
+    (1021, "full", False, True, (501, 84, 96, 96, 0)),
+    (1152, "full", True, False, (257, 57, 33, 33, 6)),
+    (1304, "full", True, True, (227, 25, 17, 17, 32)),
+    (1325, "none", False, False, (1867, 0, 0, 0, 0)),
+    (1335, "none", False, True, (1589, 0, 0, 0, 0)),
+    (1381, "none", True, False, (757, 0, 0, 0, 220)),
+    (1485, "none", True, True, (235, 0, 0, 0, 26)),
+    (1535, "budget:7", False, False, (217, 48, 6, 6, 0)),
+    (1591, "budget:44", False, True, (271, 43, 5, 5, 0)),
+    (2163, "budget:7", True, False, (525, 62, 4, 4, 78)),
+    (2338, "budget:19", True, True, (219, 19, 2, 2, 34)),
+]
+
+
+def pinned_case(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_vars=12, max_states=3, determinism=0.4,
+                         noisy_or_prob=0.2, max_joint=20000)
+    return net, random_evidence(rng, net, p_observe=0.3)
+
+
+@pytest.mark.parametrize("seed,policy,use_kb,log_domain,work", PINNED_WORK)
+def test_work_counters_pinned(seed, policy, use_kb, log_domain, work):
+    net, evidence = pinned_case(seed)
+    root = prepare_dtree(net)
+    res = rc_query(net, root, evidence, policy=CachePolicy.parse(policy),
+                   kb=compile_kb(net) if use_kb else None, log_domain=log_domain)
+    got = (res.rc_calls, res.cache_hits, res.cache_misses, res.entries_written, res.kb_skips)
+    assert got == work
+    expected = brute_force_probability(net, evidence)
+    assert rel_err(res.probability, expected) <= (1e-9 if log_domain else 1e-12)
+
+
+def forward_log_probability(doc, evidence_by_name):
+    """ln Pr(e) on a chain document by a scaled forward pass over its tables."""
+    alpha = None
+    log_scale = 0.0
+    for cpt in doc["cpts"]:
+        table = cpt["table"]
+        if alpha is None:
+            alpha = list(table)
+        else:
+            alpha = [sum(alpha[a] * table[2 * a + b] for a in range(2)) for b in range(2)]
+        observed = evidence_by_name.get(cpt["child"])
+        if observed is not None:
+            alpha = [p if b == observed else 0.0 for b, p in enumerate(alpha)]
+        z = sum(alpha)
+        log_scale += math.log(z)
+        alpha = [p / z for p in alpha]
+    return log_scale
+
+
+def test_deep_dtree_query_restores_recursion_limit():
+    n = 1199
+    doc = spine_chain_doc(n, seed=12)
+    net = parse_network(json.dumps(doc))
+    root = dtree_from_shape(net, right_linear_shape(n))
+    annotate(root)
+    mark_dead_caches(root)
+    observed = {f"X{i}": (i * 5) % 2 for i in range(1, n + 1, 3)}
+    observed["Y"] = 1
+    evidence = {net.var_id(name): s for name, s in observed.items()}
+    limit = sys.getrecursionlimit()
+    assert n > limit  # the spine is deeper than the limit the query runs under
+    res = rc_query(net, root, evidence, log_domain=True)
+    assert sys.getrecursionlimit() == limit
+    assert res.log_value == pytest.approx(forward_log_probability(doc, observed), rel=1e-12)
+
+
+def test_query_leaves_no_cyclic_garbage():
+    net = grid_network(4, seed=3)
+    root = prepare_dtree(net)
+    gc.disable()
+    try:
+        gc.collect()
+        res = rc_query(net, root, {0: 1, 15: 0})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert res.cache_misses > 0
+
+
+def test_plan_is_lowered_once_per_dtree_and_network(chain):
+    root = prepare_dtree(chain)
+    rc_query(chain, root, {1: 0})
+    plan = root.plan
+    assert plan is not None
+    rc_query(chain, root, {2: 1}, policy=CachePolicy.none(), log_domain=True)
+    assert root.plan is plan
+    twin = chain_network()  # equal, but another object
+    assert rc_query(twin, root, {1: 0}).probability == pytest.approx(0.5, rel=1e-12)
+    assert root.plan is not plan and root.plan.network is twin
+    annotate(root)
+    assert root.plan is None
+
+
+def test_plan_rejects_parent_outside_leaf_context(chain):
+    root = dtree_from_shape(chain, [["A", "B"], "C"])  # C's leaf has context {B}
+    annotate(root)
+    doc = chain_doc()
+    doc["cpts"][2]["parents"] = ["A"]  # the same dtree is wrong for C with parent A
+    rewired = parse_network(json.dumps(doc))
+    with pytest.raises(RuntimeError, match="malformed dtree"):
+        rc_query(rewired, root, {2: 0})

@@ -1,0 +1,27 @@
+"""The benchmark's traced round against the current engine.
+
+The traced round of perfbench/run.py wraps rcnet.engine.lookup and
+subclasses the knowledge base to time each layer, so an engine change
+can break it without failing any other test.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["grid-full", "linkage-kb-budget"])
+def test_traced_benchmark_round_is_correct(workload):
+    cmd = [sys.executable, str(RUN), "--workload", workload, "--small",
+           "--seconds", "1", "--seed", "7", "--trace", "1"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
