@@ -26,13 +26,12 @@ from .dtree import (
 from .engine import (
     CachePolicy,
     QueryResult,
-    Recorder,
     apply_policy,
     brute_force_probability,
     lookup,
     rc_query,
 )
-from .kb import KnowledgeBase, Literal, compile_kb, is_consistent_extension
+from .kb import KnowledgeBase, Literal, compile_kb
 from .model import (
     Network,
     NetworkFormatError,
@@ -51,7 +50,6 @@ from .spaces import (
     SpaceReport,
     hugin_space,
     induce_jointree,
-    rc_space,
     shenoy_shafer_space,
     space_report,
     ve_space,

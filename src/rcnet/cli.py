@@ -9,17 +9,21 @@
     rcnet kb-dump --net net.json [--out clauses.txt]
 
 query and stats print one pretty JSON report; bench prints one JSON
-line per generated instance.  Exit code 2 signals a parse or validation
-problem, reported as a single diagnostic line on stderr.
+line per generated instance, and exits 1 when an instance errs or
+disagrees with the oracle by more than ORACLE_TOLERANCE.  Exit code 2
+signals a parse or validation problem, reported as a single diagnostic
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
+from dataclasses import asdict
 
 from .dtree import (
     annotate,
@@ -39,6 +43,8 @@ from .spaces import space_report
 
 __all__ = ["main"]
 
+ORACLE_TOLERANCE = 1e-9
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -48,10 +54,6 @@ def _read(path: str) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _load_network(path: str):
-    return parse_network(_read(path))
 
 
 def _prepared_dtree(network, dtree_in: str | None):
@@ -65,30 +67,9 @@ def _prepared_dtree(network, dtree_in: str | None):
     return root, order, dead
 
 
-def _dtree_report(root, dead: int) -> dict:
-    stats = dtree_stats(root)
-    return {
-        "width": stats.width,
-        "context_width": stats.context_width,
-        "cache_cells_all": stats.cache_cells_all,
-        "cache_cells_live": stats.cache_cells_live,
-        "dead_caches": dead,
-    }
-
-
-def _space_dict(report) -> dict:
-    return {
-        "hugin_cells": report.hugin_cells,
-        "shenoy_shafer_cells": report.shenoy_shafer_cells,
-        "ve_cells": report.ve_cells,
-        "rc_cells_all": report.rc_cells_all,
-        "rc_cells_live": report.rc_cells_live,
-    }
-
-
 def cmd_query(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    network = _load_network(args.net)
+    network = parse_network(_read(args.net))
     evidence = parse_evidence(_read(args.evidence), network) if args.evidence else {}
     root, order, dead = _prepared_dtree(network, None)
     if args.dtree_out:
@@ -104,13 +85,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     )
     report = {
         "network": args.net,
-        "dtree": _dtree_report(root, dead),
-        "space": _space_dict(space_report(network, order, root)),
+        "dtree": {**asdict(dtree_stats(root)), "dead_caches": dead},
+        "space": asdict(space_report(network, order, root)),
         "query": result.to_json_dict(),
         "kb_size": (
             {"clauses": kb.n_clauses, "literals": kb.n_literals} if kb is not None else None
         ),
-        "seed": args.seed,
         "wall_time_s": time.perf_counter() - started,
     }
     print(json.dumps(report, indent=2))
@@ -119,7 +99,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    network = _load_network(args.net)
+    network = parse_network(_read(args.net))
     root, order, dead = _prepared_dtree(network, args.dtree_in)
     if args.dtree_out:
         _write(args.dtree_out, dtree_to_json(root))
@@ -127,8 +107,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         _write(args.dtree_dot, dtree_to_dot(root))
     report = {
         "network": args.net,
-        "dtree": _dtree_report(root, dead),
-        "space": _space_dict(space_report(network, order, root)),
+        "dtree": {**asdict(dtree_stats(root)), "dead_caches": dead},
+        "space": asdict(space_report(network, order, root)),
         "wall_time_s": time.perf_counter() - started,
     }
     print(json.dumps(report, indent=2))
@@ -137,6 +117,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
+    failed = False
     for i in range(args.instances):
         line: dict = {"instance": i}
         try:
@@ -147,6 +128,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 determinism=args.determinism,
                 max_joint=args.oracle_limit,
             )
+            joint_size = math.prod(network.cards)
             evidence = random_evidence(rng, network)
             root, order, dead = _prepared_dtree(network, None)
             kb = compile_kb(network)
@@ -155,7 +137,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             line.update(
                 {
                     "vars": network.n,
-                    "joint_size": network.joint_size(),
+                    "joint_size": joint_size,
                     "evidence_vars": len(evidence),
                     "probability_nokb": plain.probability,
                     "probability_kb": pruned.probability,
@@ -173,7 +155,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "dead_caches": dead,
                 }
             )
-            if args.oracle and network.joint_size() <= args.oracle_limit:
+            if args.oracle and joint_size <= args.oracle_limit:
                 expected = brute_force_probability(network, evidence)
                 line["oracle"] = expected
                 line["oracle_delta"] = abs(plain.probability - expected)
@@ -183,12 +165,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             line["error"] = None
         except Exception as exc:  # keep the run going, record the failure
             line["error"] = f"{type(exc).__name__}: {exc}"
+        if line["error"] is not None or (line.get("oracle_delta") or 0.0) > ORACLE_TOLERANCE:
+            failed = True
         print(json.dumps(line))
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_kb_dump(args: argparse.Namespace) -> int:
-    network = _load_network(args.net)
+    network = parse_network(_read(args.net))
     kb = compile_kb(network)
     text = kb.format_clauses(network)
     if args.out:
@@ -212,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--kb", choices=["on", "off"], default="off",
                        help="prune zero-probability branches by unit resolution")
     query.add_argument("--log-space", choices=["on", "off"], default="off")
-    query.add_argument("--seed", type=int, default=None,
-                       help="recorded in the report; queries are deterministic")
     query.add_argument("--dtree-out", help="write the dtree used (JSON)")
     query.set_defaults(func=cmd_query)
 

@@ -22,13 +22,17 @@ Width is the largest cluster size minus one; context width is the
 largest context size.  Cache accounting counts one cell per context
 instantiation at caching nodes; the root and the leaves never cache, and
 a node whose context contains its parent's context is dead (its entries
-would never be looked up again).
+would never be looked up again).  annotate() sets each node's cell
+count once; dtree_stats, the space report and the query plan read it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -37,6 +41,13 @@ from .model import Network
 LIVE = "live"
 DEAD = "dead"
 DISABLED = "disabled"
+
+# frames a deep walk may need beyond one per level: comprehensions, CPT and KB calls
+RECURSION_HEADROOM = 100
+
+# deepest dtree that JSON export and import accept: the C json module recurses
+# on the C stack, which a raised recursion limit does not enlarge
+JSON_DEPTH_LIMIT = 10_000
 
 __all__ = [
     "LIVE",
@@ -54,7 +65,7 @@ __all__ = [
     "mark_dead_caches",
     "dtree_stats",
     "iter_nodes",
-    "instantiation_count",
+    "recursion_room",
     "dtree_to_json",
     "dtree_from_json",
     "dtree_to_dot",
@@ -113,14 +124,6 @@ class DtreeStats:
     context_width: int
     cache_cells_all: int
     cache_cells_live: int
-
-
-def instantiation_count(variables, cards: Sequence[int]) -> int:
-    """Number of joint instantiations of a variable set (1 for the empty set)."""
-    n = 1
-    for v in variables:
-        n *= cards[v]
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +338,7 @@ def annotate(root: DtreeNode) -> DtreeStats:
             continue
         node.cutset = (node.left.vars & node.right.vars) - node.context
         node.cluster = node.cutset | node.context
-        node.cells = instantiation_count(node.context, cards)
+        node.cells = math.prod(cards[v] for v in node.context)
         node.cache_state = DEAD if node.parent is None else LIVE
         for child in (node.left, node.right):
             child.parent = node
@@ -382,6 +385,24 @@ def dtree_stats(root: DtreeNode) -> DtreeStats:
     )
 
 
+@contextmanager
+def recursion_room(frames: int) -> Iterator[None]:
+    """Room for `frames` nested calls below the caller: the recursion
+    limit is raised only when it is too low, and restored on exit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    needed = depth + frames + RECURSION_HEADROOM
+    if needed > limit:
+        sys.setrecursionlimit(needed)
+    try:
+        yield
+    finally:
+        if needed > limit:
+            sys.setrecursionlimit(limit)
+
+
 # ---------------------------------------------------------------------------
 # export / import
 
@@ -391,6 +412,8 @@ def _names(network: Network, ids) -> list[str]:
 
 
 def dtree_to_json(root: DtreeNode) -> str:
+    """Unindented JSON, since indentation grows quadratically with depth;
+    a dtree more than about JSON_DEPTH_LIMIT levels deep raises ValueError."""
     network = root.network
 
     def render(node: DtreeNode) -> dict:
@@ -403,15 +426,18 @@ def dtree_to_json(root: DtreeNode) -> str:
             "context": _names(network, node.context),
         }
 
-    return json.dumps(render(root), indent=2)
+    # a dtree is no deeper than it has leaves
+    with recursion_room(min(network.n, JSON_DEPTH_LIMIT)):
+        try:
+            return json.dumps(render(root))
+        except RecursionError:
+            raise ValueError(f"dtree is deeper than {JSON_DEPTH_LIMIT} levels") from None
 
 
 def dtree_from_json(network: Network, text: str) -> DtreeNode:
-    """Rebuild a dtree from exported JSON; annotations are recomputed."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed dtree document: {exc}") from None
+    """Rebuild a dtree from exported JSON; annotations are recomputed.
+    A document nested more than about JSON_DEPTH_LIMIT levels deep raises
+    ValueError."""
 
     def shape(node) -> object:
         if not isinstance(node, dict):
@@ -422,7 +448,15 @@ def dtree_from_json(network: Network, text: str) -> DtreeNode:
             return [shape(node["left"]), shape(node["right"])]
         raise ValueError("dtree node needs either 'leaf' or 'left'/'right'")
 
-    return dtree_from_shape(network, shape(doc))
+    # a document nests no deeper than it has objects
+    with recursion_room(min(text.count("{"), JSON_DEPTH_LIMIT)):
+        try:
+            nested = shape(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed dtree document: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"dtree document is deeper than {JSON_DEPTH_LIMIT} levels") from None
+    return dtree_from_shape(network, nested)
 
 
 def dtree_to_dot(root: DtreeNode) -> str:

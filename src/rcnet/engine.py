@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .dtree import DtreeNode, DISABLED, LIVE, iter_nodes
+from .dtree import DtreeNode, DISABLED, LIVE, iter_nodes, recursion_room
 from .kb import KnowledgeBase, Literal
 from .model import Network, TabularCpt, validate_evidence
 
@@ -47,12 +47,14 @@ UNASSIGNED = -1
 # dense cache tables above this many cells switch to keyed storage
 DENSE_CACHE_LIMIT = 1 << 20
 
-# frames a query may need beyond its recursion: comprehensions, CPT and KB calls
-RECURSION_HEADROOM = 100
+# linear answers below this are re-answered in the log domain: node values never
+# exceed 1, so rounding in the subnormal range moves any larger answer by at most
+# 2**-105 of its value
+LINEAR_FLOOR = sys.float_info.min / sys.float_info.epsilon  # 2**-970
 
 __all__ = [
     "LOG_ZERO",
-    "Recorder",
+    "UNASSIGNED",
     "CachePolicy",
     "QueryResult",
     "apply_policy",
@@ -60,36 +62,6 @@ __all__ = [
     "rc_query",
     "brute_force_probability",
 ]
-
-
-class Recorder:
-    """Per-query assignment state consulted by leaf lookups and cache keys.
-
-    Recording is strictly reversible: a variable holds at most one value,
-    evidence is never overwritten, and unrecord restores 'unassigned'.
-    """
-
-    UNASSIGNED = UNASSIGNED
-
-    def __init__(self, cards):
-        n = len(cards)
-        self.assign = [Recorder.UNASSIGNED] * n
-        self.provenance: list[str | None] = [None] * n
-
-    def record(self, var: int, state: int, provenance: str = "cutset") -> None:
-        if self.assign[var] != Recorder.UNASSIGNED:
-            raise RuntimeError(f"variable {var} is already recorded")
-        self.assign[var] = state
-        self.provenance[var] = provenance
-
-    def unrecord(self, var: int) -> None:
-        if self.provenance[var] == "evidence":
-            raise RuntimeError(f"refusing to unrecord evidence on variable {var}")
-        self.assign[var] = Recorder.UNASSIGNED
-        self.provenance[var] = None
-
-    def is_assigned(self, var: int) -> bool:
-        return self.assign[var] != Recorder.UNASSIGNED
 
 
 @dataclass(frozen=True)
@@ -187,22 +159,23 @@ def apply_policy(root: DtreeNode, policy: CachePolicy) -> dict[int, str]:
     return states
 
 
-def lookup(network: Network, leaf: DtreeNode, recorder: Recorder,
+def lookup(network: Network, leaf: DtreeNode, assign: list[int],
            log_domain: bool = False) -> float:
     """Leaf value: Pr(x|u) when the leaf variable is assigned, else 1.
 
-    All parents must be assigned whenever the variable is; anything
-    else means the dtree does not cover the family and is malformed.
+    `assign` holds a state per variable id, UNASSIGNED where there is
+    none, as in a query.  All parents must be assigned whenever the
+    variable is; anything else means the dtree does not cover the family
+    and is malformed.
     """
-    assign = recorder.assign
     x = assign[leaf.var]
-    if x == Recorder.UNASSIGNED:
+    if x == UNASSIGNED:
         return 0.0 if log_domain else 1.0
     cpt = network.cpts[leaf.var]
     parent_states = []
     for p in cpt.parents:
         s = assign[p]
-        if s == Recorder.UNASSIGNED:
+        if s == UNASSIGNED:
             raise RuntimeError(
                 f"parent {network.variables[p].name!r} unassigned at leaf lookup "
                 f"for {network.variables[leaf.var].name!r}; malformed dtree"
@@ -222,15 +195,14 @@ class _SparseCache(dict):
         return None
 
 
-def _context_strides(variables, cards) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(var, stride) pairs under the ascending-id, last-fastest convention,
-    and the number of joint instantiations."""
+def _context_strides(variables, cards) -> tuple[tuple[int, int], ...]:
+    """(var, stride) pairs under the ascending-id, last-fastest convention."""
     strides = []
     stride = 1
     for v in sorted(variables, reverse=True):
         strides.append((v, stride))
         stride *= cards[v]
-    return tuple(strides), stride
+    return tuple(strides)
 
 
 class QueryPlan:
@@ -266,7 +238,8 @@ class QueryPlan:
         depth = [1] * n
         for node in nodes:  # preorder: a parent's depth is set before its children's
             i = node.id
-            self.context[i], self.cells[i] = _context_strides(node.context, cards)
+            self.context[i] = _context_strides(node.context, cards)
+            self.cells[i] = node.cells  # as annotate() counted them
             if not node.is_leaf:
                 self.left[i] = node.left.id
                 self.right[i] = node.right.id
@@ -308,15 +281,6 @@ def _plan_for(root: DtreeNode, network: Network) -> QueryPlan:
     if plan is None or plan.network is not network:
         plan = root.plan = QueryPlan(root, network)
     return plan
-
-
-def _stack_depth() -> int:
-    depth = 0
-    frame = sys._getframe(1)
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
 
 
 def _log_sum(terms: list[float]) -> float:
@@ -424,7 +388,9 @@ def rc_query(
     The dtree must be annotated (and normally dead-cache marked) for
     this network.  The cache policy defaults to full.  A supplied KB is
     used only to skip provably-zero cutset instantiations; it is
-    restored to its entry state before returning.
+    restored to its entry state before returning.  A linear answer below
+    LINEAR_FLOOR, zero included, that the KB has not refuted is answered
+    again in the log domain, and that result is returned.
     """
     validate_evidence(network, evidence)
     plan = _plan_for(root, network)
@@ -440,38 +406,35 @@ def rc_query(
         expected[var] = state
     assign = list(expected)
 
-    limit = sys.getrecursionlimit()
-    # value() and expand() take two frames per dtree level
-    needed = _stack_depth() + 2 * plan.height + RECURSION_HEADROOM
-    if needed > limit:
-        sys.setrecursionlimit(needed)
     kb_token = kb.checkpoint() if kb is not None else None
-    try:
-        if kb is not None:
-            for var, state in sorted(evidence.items()):
-                if not kb.assert_literal(Literal(var, state, True)):
-                    return QueryResult(
-                        probability=0.0,
-                        rc_calls=0,
-                        cache_hits=0,
-                        cache_misses=0,
-                        entries_written=0,
-                        kb_enabled=True,
-                        kb_skips=0,
-                        kb_evidence_contradiction=True,
-                        log_domain=log_domain,
-                        log_value=LOG_ZERO if log_domain else None,
-                    )
-        value, hits, evaluated, skips = _run_plan(plan, caches, assign, kb, log_domain)
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
-        if kb_token is not None:
-            kb.retract_to(kb_token)
+    # value() and expand() take two frames per dtree level
+    with recursion_room(2 * plan.height):
+        try:
+            if kb is not None:
+                for var, state in sorted(evidence.items()):
+                    if not kb.assert_literal(Literal(var, state, True)):
+                        return QueryResult(
+                            probability=0.0,
+                            rc_calls=0,
+                            cache_hits=0,
+                            cache_misses=0,
+                            entries_written=0,
+                            kb_enabled=True,
+                            kb_skips=0,
+                            kb_evidence_contradiction=True,
+                            log_domain=log_domain,
+                            log_value=LOG_ZERO if log_domain else None,
+                        )
+            value, hits, evaluated, skips = _run_plan(plan, caches, assign, kb, log_domain)
+        finally:
+            if kb_token is not None:
+                kb.retract_to(kb_token)
 
     if assign != expected:
         var = next(v for v in range(network.n) if assign[v] != expected[v])
         raise RuntimeError(f"query leaked an assignment on variable {var}")
+    if not log_domain and value < LINEAR_FLOOR:
+        return rc_query(network, root, evidence, policy, kb, log_domain=True)
 
     # every miss fills exactly one cell
     per_node_misses = {}
@@ -509,9 +472,10 @@ def brute_force_probability(
 ) -> float:
     """Probability of evidence by complete enumeration (oracle)."""
     validate_evidence(network, evidence)
-    if network.joint_size() > max_instantiations:
+    joint_size = math.prod(network.cards)
+    if joint_size > max_instantiations:
         raise ValueError(
-            f"state space of {network.joint_size()} exceeds the enumeration "
+            f"state space of {joint_size} exceeds the enumeration "
             f"limit of {max_instantiations}"
         )
     free = [v for v in range(network.n) if v not in evidence]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import Network, TabularCpt
 
@@ -31,7 +31,6 @@ __all__ = [
     "Literal",
     "KnowledgeBase",
     "compile_kb",
-    "is_consistent_extension",
 ]
 
 
@@ -40,9 +39,6 @@ class Literal:
     var: int
     state: int
     positive: bool
-
-    def negated(self) -> "Literal":
-        return Literal(self.var, self.state, not self.positive)
 
 
 Clause = tuple[Literal, ...]
@@ -57,16 +53,8 @@ class KnowledgeBase:
     Single-threaded mutable state; one query owns one KB at a time.
     """
 
-    def __init__(
-        self,
-        cards: Iterable[int],
-        clauses: Iterable[Clause] = (),
-        collapse_singleton: bool = True,
-        network: Network | None = None,
-    ):
+    def __init__(self, cards: Iterable[int], clauses: Iterable[Clause] = ()):
         self.cards = tuple(cards)
-        self.collapse_singleton = collapse_singleton
-        self.network = network
         self.possible: list[set[int]] = [set(range(c)) for c in self.cards]
         self.fixed: list[int | None] = [None] * len(self.cards)
         self.clauses: list[Clause] = []
@@ -142,7 +130,7 @@ class KnowledgeBase:
         for idx in self._pos_occ.get((var, state), ()):
             if not self._bump(idx):
                 return False
-        if len(domain) == 1 and self.fixed[var] is None and self.collapse_singleton:
+        if len(domain) == 1 and self.fixed[var] is None:
             return self._fix(var, next(iter(domain)))
         return True
 
@@ -228,7 +216,7 @@ def _clauses_from_cpt(cpt: TabularCpt) -> Iterable[Clause]:
                     yield (Literal(cpt.child, c, positive=False),) + parent_lits
 
 
-def compile_kb(network: Network, collapse_singleton: bool = True) -> KnowledgeBase:
+def compile_kb(network: Network) -> KnowledgeBase:
     """Compile a network's tabular determinism into a propagating KB.
 
     Duplicate clauses are dropped.  Unit clauses (deterministic roots)
@@ -245,9 +233,7 @@ def compile_kb(network: Network, collapse_singleton: bool = True) -> KnowledgeBa
             if key not in seen:
                 seen.add(key)
                 clauses.append(clause)
-    kb = KnowledgeBase(
-        network.cards, clauses, collapse_singleton=collapse_singleton, network=network
-    )
+    kb = KnowledgeBase(network.cards, clauses)
     for idx, clause in enumerate(kb.clauses):
         if len(clause) - kb.counts[idx] == 1:
             open_lits = [lit for lit in clause if not kb._is_falsified(lit)]
@@ -255,25 +241,3 @@ def compile_kb(network: Network, collapse_singleton: bool = True) -> KnowledgeBa
                 raise RuntimeError("contradictory knowledge base from a validated network")
     return kb
 
-
-def is_consistent_extension(kb: KnowledgeBase, partial: Mapping[int, int]) -> bool:
-    """Whether some completion of the partial assignment has nonzero
-    probability under the KB's source network.  Enumeration oracle;
-    small networks only."""
-    network = kb.network
-    if network is None:
-        raise ValueError("knowledge base has no source network attached")
-    if network.joint_size() > 10**7:
-        raise ValueError("state space too large to enumerate")
-    free = [v for v in range(network.n) if v not in partial]
-    assign = dict(partial)
-    for combo in itertools.product(*(range(network.cards[v]) for v in free)):
-        assign.update(zip(free, combo))
-        p = 1.0
-        for v in range(network.n):
-            p *= network.cpt_prob(v, assign[v], assign)
-            if p == 0.0:
-                break
-        if p > 0.0:
-            return True
-    return False

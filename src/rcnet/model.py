@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -68,13 +69,6 @@ class TabularCpt:
     entries: tuple[float, ...]
     child_card: int
     parent_cards: tuple[int, ...]
-
-    @property
-    def n_rows(self) -> int:
-        n = 1
-        for c in self.parent_cards:
-            n *= c
-        return n
 
     def row_of(self, parent_states: Sequence[int]) -> int:
         idx = 0
@@ -133,17 +127,8 @@ class Network:
         except KeyError:
             raise NetworkFormatError(f"unknown variable {name!r}") from None
 
-    def parents(self, var: int) -> tuple[int, ...]:
-        return self.cpts[var].parents
-
     def family(self, var: int) -> tuple[int, ...]:
         return (var,) + self.cpts[var].parents
-
-    def joint_size(self) -> int:
-        n = 1
-        for c in self.cards:
-            n *= c
-        return n
 
     def cpt_prob(
         self,
@@ -209,9 +194,7 @@ def _parse_variables(doc: dict) -> list[Variable]:
 def _parse_table_cpt(entry: dict, child: Variable, parents: list[Variable]) -> TabularCpt:
     table = entry.get("table")
     _require(isinstance(table, list), f"CPT for {child.name!r}: 'table' must be a list")
-    n_rows = 1
-    for p in parents:
-        n_rows *= p.cardinality
+    n_rows = math.prod(p.cardinality for p in parents)
     expected = n_rows * child.cardinality
     _require(
         len(table) == expected,
@@ -417,9 +400,7 @@ def expand_to_table(network: Network, child: int, max_cells: int = 1 << 22) -> T
     if not isinstance(cpt, NoisyOrCpt):
         raise ValueError(f"variable {network.variables[child].name!r} has a tabular CPT already")
     parent_cards = tuple(network.cards[p] for p in cpt.parents)
-    cells = 2
-    for c in parent_cards:
-        cells *= c
+    cells = 2 * math.prod(parent_cards)
     if cells > max_cells:
         raise ValueError(
             f"expanded table needs {cells} cells, exceeding the budget of {max_cells}"

@@ -4,7 +4,7 @@ Four space models, all counted in table cells (one stored probability
 each, 8 bytes if you want bytes):
 
     hugin          one table per jointree cluster plus one per separator
-    shenoy_shafer  one table per separator (inward pass; double for both)
+    shenoy_shafer  one table per separator (inward pass)
     ve             one table per cluster created while eliminating
     rc             one cell per context instantiation at caching dtree
                    nodes, reported with and without dead caches
@@ -15,10 +15,11 @@ separator per edge equal to the child's context.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dtree import DtreeNode, LIVE, instantiation_count, iter_nodes
+from .dtree import DtreeNode, dtree_stats, iter_nodes, moral_graph
 from .model import Network
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "hugin_space",
     "shenoy_shafer_space",
     "ve_space",
-    "rc_space",
     "space_report",
 ]
 
@@ -56,13 +56,14 @@ class SpaceReport:
     rc_cells_all: int
     rc_cells_live: int
 
-    def bytes(self, per_cell: int = 8) -> dict[str, int]:
+    def bytes(self) -> dict[str, int]:
+        """Sizes at 8 bytes per cell."""
         return {
-            "hugin": self.hugin_cells * per_cell,
-            "shenoy_shafer": self.shenoy_shafer_cells * per_cell,
-            "ve": self.ve_cells * per_cell,
-            "rc_all": self.rc_cells_all * per_cell,
-            "rc_live": self.rc_cells_live * per_cell,
+            "hugin": self.hugin_cells * 8,
+            "shenoy_shafer": self.shenoy_shafer_cells * 8,
+            "ve": self.ve_cells * 8,
+            "rc_all": self.rc_cells_all * 8,
+            "rc_live": self.rc_cells_live * 8,
         }
 
 
@@ -93,29 +94,24 @@ def induce_jointree(root: DtreeNode) -> Jointree:
     )
 
 
-def shenoy_shafer_space(
-    jt: Jointree,
-    doubled: bool = False,
-    internal_child_edges_only: bool = False,
-) -> int:
+def shenoy_shafer_space(jt: Jointree, internal_child_edges_only: bool = False) -> int:
     """Total separator cells.
 
-    doubled counts two tables per separator (full two-pass
-    propagation).  internal_child_edges_only restricts to edges whose
-    child cluster came from an internal dtree node, the portion that
-    mirrors rc caching.
+    internal_child_edges_only restricts to edges whose child cluster
+    came from an internal dtree node, the portion that mirrors rc
+    caching.
     """
     total = 0
     for _, child, sep in jt.edges:
         if internal_child_edges_only and jt.leaf_flags[child]:
             continue
-        total += instantiation_count(sep, jt.cards)
-    return total * (2 if doubled else 1)
+        total += math.prod(jt.cards[v] for v in sep)
+    return total
 
 
 def hugin_space(jt: Jointree) -> int:
     """Cluster cells plus separator cells."""
-    total = sum(instantiation_count(cluster, jt.cards) for cluster in jt.nodes)
+    total = sum(math.prod(jt.cards[v] for v in cluster) for cluster in jt.nodes)
     return total + shenoy_shafer_space(jt)
 
 
@@ -123,12 +119,10 @@ def ve_space(network: Network, order: Sequence[int]) -> int:
     """Cells of the tables built while eliminating along the order."""
     if sorted(order) != list(range(network.n)):
         raise ValueError("elimination order is not a permutation of the variable ids")
-    from .dtree import moral_graph
-
     adj = moral_graph(network)
     total = 0
     for v in order:
-        total += instantiation_count([v] + list(adj[v]), network.cards)
+        total += network.cards[v] * math.prod(network.cards[a] for a in adj[v])
         neigh = list(adj[v])
         for i, a in enumerate(neigh):
             for b in neigh[i + 1:]:
@@ -140,30 +134,13 @@ def ve_space(network: Network, order: Sequence[int]) -> int:
     return total
 
 
-def rc_space(root: DtreeNode) -> tuple[int, int]:
-    """(cells_all, cells_live) over caching candidates.
-
-    cells_all sums context instantiations at internal non-root nodes;
-    cells_live keeps only caches still marked live.
-    """
-    cells_all = 0
-    cells_live = 0
-    for node in iter_nodes(root):
-        if node.is_leaf or node.parent is None:
-            continue
-        cells_all += node.cells
-        if node.cache_state == LIVE:
-            cells_live += node.cells
-    return cells_all, cells_live
-
-
 def space_report(network: Network, order: Sequence[int], root: DtreeNode) -> SpaceReport:
     jt = induce_jointree(root)
-    cells_all, cells_live = rc_space(root)
+    stats = dtree_stats(root)
     return SpaceReport(
         hugin_cells=hugin_space(jt),
         shenoy_shafer_cells=shenoy_shafer_space(jt),
         ve_cells=ve_space(network, order),
-        rc_cells_all=cells_all,
-        rc_cells_live=cells_live,
+        rc_cells_all=stats.cache_cells_all,
+        rc_cells_live=stats.cache_cells_live,
     )

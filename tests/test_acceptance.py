@@ -30,7 +30,6 @@ from rcnet import (
     parse_network,
     prepare_dtree,
     rc_query,
-    rc_space,
     shenoy_shafer_space,
 )
 from rcnet.dtree import DEAD, LIVE, iter_nodes
@@ -166,7 +165,7 @@ def test_star_dead_caches_and_factored_cpt_scaling():
     root = dtree_from_shape(net, right_linear_shape(n))
     annotate(root)
     mark_dead_caches(root)
-    assert rc_space(root)[1] == 0
+    assert dtree_stats(root).cache_cells_live == 0
     stored_cells = sum(
         len(cpt.entries) if isinstance(cpt, TabularCpt) else len(cpt.inhibitor) + 1
         for cpt in net.cpts
@@ -228,7 +227,7 @@ def test_space_identity_and_running_intersection():
         annotate(root)
         mark_dead_caches(root)
         jt = induce_jointree(root)
-        cells_all, _ = rc_space(root)
+        cells_all = dtree_stats(root).cache_cells_all
         assert cells_all == shenoy_shafer_space(jt, internal_child_edges_only=True)
         assert hugin_space(jt) >= shenoy_shafer_space(jt)
         assert check_running_intersection(jt)

@@ -1,10 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from rcnet.cli import main
 
-from helpers import chain_doc, gate_doc, right_linear_shape, star_doc
+from helpers import chain_doc, gate_doc, right_linear_shape, spine_chain_doc, star_doc
 
 
 @pytest.fixture
@@ -121,6 +122,29 @@ def test_stats_star_fixture_no_live_cells(capsys, tmp_path):
     assert report["dtree"]["dead_caches"] == 4
 
 
+def spine_dtree_text(n):
+    """A right-linear dtree document for spine_chain_doc(n), built flat."""
+    return ("".join(f'{{"left": {{"leaf": "X{i}"}}, "right": ' for i in range(1, n + 1))
+            + '{"leaf": "Y"}' + "}" * n)
+
+
+def test_stats_deep_dtree_round_trip(capsys, tmp_path):
+    n = 1199  # 1,200 levels, deeper than the default recursion limit
+    net_path = write_json(tmp_path, "spine.json", spine_chain_doc(n, seed=4))
+    spine = tmp_path / "spine_dtree.json"
+    spine.write_text(spine_dtree_text(n))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    limit = sys.getrecursionlimit()
+    exported = run_json(capsys, ["stats", "--net", net_path, "--dtree-in", str(spine),
+                                 "--dtree-out", str(first)])
+    reimported = run_json(capsys, ["stats", "--net", net_path, "--dtree-in", str(first),
+                                   "--dtree-out", str(second)])
+    assert sys.getrecursionlimit() == limit
+    assert reimported["dtree"] == exported["dtree"]
+    assert second.read_text() == first.read_text()
+    assert len(first.read_bytes()) < 200_000  # no indentation growing with depth
+
+
 def test_stats_chain_fixture_cells(capsys, tmp_path):
     net_path = write_json(tmp_path, "chain.json", chain_doc())
     report = run_json(capsys, ["stats", "--net", net_path])
@@ -168,6 +192,17 @@ def test_bench_oracle_agreement(capsys):
         assert line["error"] is None
         assert line["oracle_delta"] <= 1e-9
         assert line["probability_delta"] <= 1e-12
+
+
+def test_bench_exits_1_when_an_instance_fails(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine down")
+
+    monkeypatch.setattr("rcnet.cli.rc_query", broken)
+    code, out, _ = run(capsys, ["bench", "--instances", "3", "--seed", "3"])
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [line["error"] for line in lines] == ["RuntimeError: engine down"] * 3
 
 
 def test_bench_determinism_ratio(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,13 @@ from rcnet import (
 from rcnet.dtree import DEAD, LIVE, greedy_fill_order, iter_nodes, moral_graph
 from rcnet.randnet import random_network
 
-from helpers import chain_network, gate_network, right_linear_shape, star_network
+from helpers import (
+    chain_network,
+    gate_network,
+    right_linear_shape,
+    spine_chain_doc,
+    star_network,
+)
 from oracles import brute_fill_counts, exact_treewidth, naive_annotations, reference_fill_order
 
 
@@ -278,6 +285,19 @@ def test_json_round_trip_preserves_shape_and_stats():
     mark_dead_caches(rebuilt)
     assert dtree_to_json(rebuilt) == text
     assert dtree_stats(rebuilt) == dtree_stats(root)
+
+
+def test_json_refuses_dtrees_deeper_than_its_limit(monkeypatch):
+    monkeypatch.setattr("rcnet.dtree.JSON_DEPTH_LIMIT", 50)
+    limit = sys.getrecursionlimit()
+    # deeper than the default recursion limit too, so only the ceiling stops them
+    net = parse_network(json.dumps(spine_chain_doc(2999, seed=4)))
+    with pytest.raises(ValueError, match="deeper than 50 levels"):
+        dtree_to_json(dtree_from_shape(net, right_linear_shape(2999)))
+    text = '{"left": {"leaf": "A"}, "right": ' * 3000 + '{"leaf": "B"}' + "}" * 3000
+    with pytest.raises(ValueError, match="deeper than 50 levels"):
+        dtree_from_json(chain_network(), text)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_dot_export_mentions_every_node():

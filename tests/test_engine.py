@@ -8,7 +8,6 @@ import pytest
 
 from rcnet import (
     CachePolicy,
-    Recorder,
     annotate,
     apply_policy,
     brute_force_probability,
@@ -24,7 +23,7 @@ from rcnet import (
     rc_query,
 )
 from rcnet.dtree import DISABLED, LIVE, iter_nodes
-from rcnet.engine import LOG_ZERO
+from rcnet.engine import LOG_ZERO, UNASSIGNED
 from rcnet.randnet import random_evidence, random_network
 
 from helpers import (
@@ -43,28 +42,6 @@ def rel_err(a, b):
     return 0.0 if m == 0.0 else abs(a - b) / m
 
 
-# --- recorder ----------------------------------------------------------
-
-
-def test_recorder_reversible():
-    rec = Recorder([2, 3])
-    rec.record(1, 2)
-    assert rec.is_assigned(1)
-    rec.unrecord(1)
-    assert not rec.is_assigned(1)
-    assert rec.assign == [Recorder.UNASSIGNED] * 2
-    assert rec.provenance == [None, None]
-
-
-def test_recorder_protects_evidence():
-    rec = Recorder([2, 2])
-    rec.record(0, 1, "evidence")
-    with pytest.raises(RuntimeError, match="already recorded"):
-        rec.record(0, 0)
-    with pytest.raises(RuntimeError, match="refusing to unrecord"):
-        rec.unrecord(0)
-
-
 # --- lookup ------------------------------------------------------------
 
 
@@ -77,35 +54,22 @@ def gate_leaf_setup():
 
 def test_lookup_assigned_child():
     net, leaf = gate_leaf_setup()
-    rec = Recorder(net.cards)
-    rec.record(0, 0)  # A=1
-    rec.record(1, 1)  # B=2
-    rec.record(2, 1)  # C=2
-    assert lookup(net, leaf, rec) == 1.0
-    rec.unrecord(2)
-    rec.unrecord(1)
-    rec.record(1, 0)  # B=1 under A=2 is not this row; re-point A
-    rec.unrecord(0)
-    rec.record(0, 1)  # A=2
-    rec.record(2, 1)  # C=2
-    assert lookup(net, leaf, rec) == 0.8
+    assert lookup(net, leaf, [0, 1, 1]) == 1.0  # A=1, B=2, C=2
+    assert lookup(net, leaf, [1, 0, 1]) == 0.8  # A=2, B=1, C=2
 
 
 def test_lookup_unassigned_child_sums_out():
     net, leaf = gate_leaf_setup()
-    rec = Recorder(net.cards)
-    rec.record(0, 1)
-    rec.record(1, 0)
-    assert lookup(net, leaf, rec) == 1.0
-    assert lookup(net, leaf, rec, log_domain=True) == 0.0
+    assign = [1, 0, UNASSIGNED]
+    assert lookup(net, leaf, assign) == 1.0
+    assert lookup(net, leaf, assign, log_domain=True) == 0.0
 
 
 def test_lookup_missing_parent_aborts():
     net, leaf = gate_leaf_setup()
-    rec = Recorder(net.cards)
-    rec.record(2, 0)  # C assigned, parents not
+    assign = [UNASSIGNED, UNASSIGNED, 0]  # C assigned, parents not
     with pytest.raises(RuntimeError, match="malformed dtree"):
-        lookup(net, leaf, rec)
+        lookup(net, leaf, assign)
 
 
 # --- cache policies ----------------------------------------------------
@@ -538,3 +502,17 @@ def test_plan_rejects_parent_outside_leaf_context(chain):
     rewired = parse_network(json.dumps(doc))
     with pytest.raises(RuntimeError, match="malformed dtree"):
         rc_query(rewired, root, {2: 0})
+
+
+def test_linear_underflow_is_answered_in_the_log_domain():
+    n = 1199
+    doc = spine_chain_doc(n, seed=5)
+    net = parse_network(json.dumps(doc))
+    root = dtree_from_shape(net, right_linear_shape(n))
+    annotate(root)
+    mark_dead_caches(root)
+    observed = {v.name: 1 for v in net.variables}  # every variable in its second state
+    evidence = {net.var_id(name): s for name, s in observed.items()}
+    res = rc_query(net, root, evidence)  # linear: 10**-434.96 would underflow to 0.0
+    assert res.log_value == pytest.approx(forward_log_probability(doc, observed), rel=1e-12)
+    assert res.log10 == pytest.approx(-434.96, abs=0.005)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -218,7 +219,7 @@ def test_tabular_rows_sum_within_tolerance():
             if not hasattr(cpt, "entries"):
                 continue
             card = cpt.child_card
-            for row in range(cpt.n_rows):
+            for row in range(math.prod(cpt.parent_cards)):
                 total = sum(cpt.entries[row * card : (row + 1) * card])
                 assert abs(total - 1.0) <= 1e-9
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -7,17 +8,17 @@ from rcnet import (
     annotate,
     build_dtree,
     dtree_from_shape,
+    dtree_stats,
     hugin_space,
     induce_jointree,
     mark_dead_caches,
     min_fill_order,
     parse_network,
-    rc_space,
     shenoy_shafer_space,
     space_report,
     ve_space,
 )
-from rcnet.dtree import instantiation_count, iter_nodes, moral_graph
+from rcnet.dtree import iter_nodes, moral_graph
 from rcnet.randnet import random_network
 
 from helpers import chain_network, right_linear_shape, star_network
@@ -57,10 +58,10 @@ def test_chain_fixture_sums():
     net, root = chain_dtree()
     jt = induce_jointree(root)
     assert shenoy_shafer_space(jt) == 10
-    assert shenoy_shafer_space(jt, doubled=True) == 20
     assert hugin_space(jt) == 26
     assert shenoy_shafer_space(jt, internal_child_edges_only=True) == 2
-    assert rc_space(root) == (2, 0)
+    stats = dtree_stats(root)
+    assert (stats.cache_cells_all, stats.cache_cells_live) == (2, 0)
 
 
 def test_chain_separator_into_inner_subtree():
@@ -95,9 +96,9 @@ def test_star_rc_cells_live_zero():
     root = dtree_from_shape(net, right_linear_shape(4))
     annotate(root)
     mark_dead_caches(root)
-    cells_all, cells_live = rc_space(root)
-    assert cells_live == 0
-    assert cells_all == 3 + 9 + 27
+    stats = dtree_stats(root)
+    assert stats.cache_cells_live == 0
+    assert stats.cache_cells_all == 3 + 9 + 27
 
 
 def test_rc_matches_shenoy_shafer_on_internal_edges():
@@ -108,9 +109,9 @@ def test_rc_matches_shenoy_shafer_on_internal_edges():
         annotate(root)
         mark_dead_caches(root)
         jt = induce_jointree(root)
-        cells_all, cells_live = rc_space(root)
-        assert cells_all == shenoy_shafer_space(jt, internal_child_edges_only=True)
-        assert cells_live <= cells_all
+        stats = dtree_stats(root)
+        assert stats.cache_cells_all == shenoy_shafer_space(jt, internal_child_edges_only=True)
+        assert stats.cache_cells_live <= stats.cache_cells_all
         assert hugin_space(jt) >= shenoy_shafer_space(jt)
 
 
@@ -129,8 +130,8 @@ def test_induced_jointree_running_intersection():
 
 def test_dead_cache_removal_strictly_reduces_when_rule_fires():
     net, root = chain_dtree()
-    cells_all, cells_live = rc_space(root)
-    assert cells_live < cells_all
+    stats = dtree_stats(root)
+    assert stats.cache_cells_live < stats.cache_cells_all
 
 
 def test_ve_space_dominates_unique_clique_cells():
@@ -139,7 +140,7 @@ def test_ve_space_dominates_unique_clique_cells():
         net = random_network(rng, max_vars=9)
         order = min_fill_order(net)
         cliques = set(elimination_cliques(moral_graph(net), order))
-        clique_cells = sum(instantiation_count(c, net.cards) for c in cliques)
+        clique_cells = sum(math.prod(net.cards[v] for v in c) for c in cliques)
         assert ve_space(net, order) >= clique_cells
 
 
@@ -151,5 +152,7 @@ def test_space_report_fields_match_components():
     assert report.hugin_cells == hugin_space(jt)
     assert report.shenoy_shafer_cells == shenoy_shafer_space(jt)
     assert report.ve_cells == ve_space(net, order)
-    assert (report.rc_cells_all, report.rc_cells_live) == rc_space(root)
+    stats = dtree_stats(root)
+    assert (report.rc_cells_all, report.rc_cells_live) == (stats.cache_cells_all,
+                                                           stats.cache_cells_live)
     assert report.bytes()["rc_all"] == report.rc_cells_all * 8
