@@ -22,11 +22,20 @@ cache hits are answered in one function and the cutset loop runs in
 another; the recursion takes two Python frames per dtree level, and a
 deep dtree raises the recursion limit for the query alone.
 
-With a knowledge base attached, every cutset instantiation is asserted
-before recursing; a contradiction proves the branch carries zero
-probability and it is skipped outright.  Only assigned evidence and
-cutset values are visible to leaf lookups; KB-implied values never are,
-which keeps the unobserved-leaf sum-to-1 shortcut exact.
+With a knowledge base attached, the cutset loop becomes an odometer
+walk in the same order, in the same Python frame: each open variable's
+state is asserted once per instantiation of the open variables before
+it, under its own checkpoint, and retracted when the walk moves past
+it.  A contradiction proves the branch carries zero probability; a
+state the KB's current domain already excludes is not asserted at all.
+Either way the walk skips it together with every instantiation of the
+variables after it, and counts each of those as a KB skip.  A state the
+domain already implies is assigned without an assertion, and so is any
+state of a variable no clause mentions, in the walk and in the evidence
+alike, so a KB without clauses is never asked.  Only assigned
+evidence and cutset values are visible to leaf lookups; KB-implied
+values never are, which keeps the unobserved-leaf sum-to-1 shortcut
+exact.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .dtree import DtreeNode, DISABLED, LIVE, iter_nodes, recursion_room
-from .kb import KnowledgeBase, Literal
+from .kb import KnowledgeBase
 from .model import Network, TabularCpt, validate_evidence
 
 LOG_ZERO = float("-inf")
@@ -302,6 +311,10 @@ def _run_plan(plan: QueryPlan, caches: list, assign: list[int],
     tables = plan.log_domain_tables() if log_domain else plan.tables
     cpts = plan.network.cpts
     states = [range(c) for c in plan.network.cards]
+    walk = None if kb is None else (
+        kb.cards, kb.domain, kb.mentioned, kb.positive,
+        kb.checkpoint, kb.assert_literal, kb.retract_to,
+    )
     one = 0.0 if log_domain else 1.0
     hits = evaluated = skips = 0
 
@@ -342,31 +355,77 @@ def _run_plan(plan: QueryPlan, caches: list, assign: list[int],
         if not open_vars:
             evaluated += 1
             return value(l) + value(r) if log_domain else value(l) * value(r)
-        # the last open variable varies fastest, in the innermost loop
-        *outer, last = open_vars
         terms: list[float] = []
         total = 0.0
-        for prefix in itertools.product(*[states[v] for v in outer]):
-            for v, s in zip(outer, prefix):
-                assign[v] = s
-            for s in states[last]:
-                assign[last] = s
-                if kb is not None:
-                    token = kb.checkpoint()
-                    if not all(kb.assert_literal(Literal(v, assign[v], True))
-                               for v in open_vars):
-                        kb.retract_to(token)
-                        skips += 1
+        if walk is None:
+            # the last open variable varies fastest, in the innermost loop
+            *outer, last = open_vars
+            for prefix in itertools.product(*[states[v] for v in outer]):
+                for v, s in zip(outer, prefix):
+                    assign[v] = s
+                for s in states[last]:
+                    assign[last] = s
+                    evaluated += 1
+                    if log_domain:
+                        terms.append(value(l) + value(r))
+                    else:
+                        total += value(l) * value(r)
+            for v in open_vars:
+                assign[v] = UNASSIGNED
+            return _log_sum(terms) if log_domain else total
+        # An odometer over the same order: level i holds open_vars[i] and,
+        # while a state of it is assigned, the checkpoint from which that
+        # state was asserted (-1 when nothing was asserted).  A state the
+        # KB's domain excludes is skipped along with every instantiation of
+        # the levels below it; a state the domain implies, or any state of a
+        # variable no clause mentions, is assigned without asking the KB.
+        cards, domain, mentioned, positive, checkpoint, assert_literal, retract_to = walk
+        k = len(open_vars)
+        below = [1] * k  # instantiations of the levels under each level
+        for i in range(k - 1, 0, -1):
+            below[i - 1] = below[i] * cards[open_vars[i]]
+        tokens = [-1] * k
+        i = s = 0
+        while True:
+            v = open_vars[i]
+            if s == cards[v]:
+                assign[v] = UNASSIGNED
+                if i == 0:
+                    break
+                i -= 1
+                if tokens[i] >= 0:
+                    retract_to(tokens[i])
+                s = assign[open_vars[i]] + 1
+                continue
+            token = -1
+            if mentioned[v]:
+                bit = 1 << s
+                d = domain[v]
+                if not d & bit:
+                    skips += below[i]
+                    s += 1
+                    continue
+                if d != bit:
+                    token = checkpoint()
+                    if not assert_literal(positive[v][s]):
+                        retract_to(token)
+                        skips += below[i]
+                        s += 1
                         continue
-                evaluated += 1
-                if log_domain:
-                    terms.append(value(l) + value(r))
-                else:
-                    total += value(l) * value(r)
-                if kb is not None:
-                    kb.retract_to(token)
-        for v in open_vars:
-            assign[v] = UNASSIGNED
+            assign[v] = s
+            if i < k - 1:
+                tokens[i] = token
+                i += 1
+                s = 0
+                continue
+            evaluated += 1
+            if log_domain:
+                terms.append(value(l) + value(r))
+            else:
+                total += value(l) * value(r)
+            if token >= 0:
+                retract_to(token)
+            s += 1
         return _log_sum(terms) if log_domain else total
 
     try:
@@ -412,7 +471,7 @@ def rc_query(
         try:
             if kb is not None:
                 for var, state in sorted(evidence.items()):
-                    if not kb.assert_literal(Literal(var, state, True)):
+                    if kb.mentioned[var] and not kb.assert_literal(kb.positive[var][state]):
                         return QueryResult(
                             probability=0.0,
                             rc_calls=0,

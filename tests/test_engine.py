@@ -8,6 +8,7 @@ import pytest
 
 from rcnet import (
     CachePolicy,
+    KnowledgeBase,
     annotate,
     apply_policy,
     brute_force_probability,
@@ -265,6 +266,47 @@ def test_kb_preserves_probability_and_saves_calls():
     assert skipped_somewhere
 
 
+class CountingKnowledgeBase(KnowledgeBase):
+    """Records the literals a query asserts."""
+
+    asserted: list
+
+    def assert_literal(self, literal):
+        self.asserted.append(literal)
+        return super().assert_literal(literal)
+
+
+def counting(kb):
+    kb.__class__ = CountingKnowledgeBase
+    kb.asserted = []
+    return kb
+
+
+def test_empty_kb_is_never_asked():
+    net = grid_network(4, seed=3)
+    root = prepare_dtree(net)
+    kb = counting(compile_kb(net))
+    assert kb.n_clauses == 0
+    evidence = {0: 1, 5: 0, 15: 1}
+    res = rc_query(net, root, evidence, kb=kb)
+    assert kb.asserted == []
+    plain = rc_query(net, root, evidence)
+    assert res.probability == plain.probability
+    assert (res.rc_calls, res.kb_skips) == (plain.rc_calls, 0)
+
+
+def test_kb_is_asked_only_about_mentioned_variables():
+    net, evidence = pinned_case(5142)
+    root = prepare_dtree(net)
+    kb = counting(compile_kb(net))
+    unmentioned = [v for v in range(net.n) if not kb.mentioned[v]]
+    assert unmentioned and len(unmentioned) < net.n
+    res = rc_query(net, root, evidence, kb=kb)
+    assert kb.asserted
+    assert all(kb.mentioned[lit.var] for lit in kb.asserted)
+    assert res.probability == rc_query(net, root, evidence).probability
+
+
 def test_kb_left_intact_after_query(gate):
     root = prepare_dtree(gate)
     kb = compile_kb(gate)
@@ -409,6 +451,15 @@ PINNED_WORK = [
     (1591, "budget:44", False, True, (271, 43, 5, 5, 0)),
     (2163, "budget:7", True, False, (525, 62, 4, 4, 78)),
     (2338, "budget:19", True, True, (219, 19, 2, 2, 34)),
+    # recorded with the KB walk that asserted every cutset instantiation in
+    # full; each has a cutset of three or more open variables whose prefix
+    # the KB refutes, so a whole suffix of instantiations is skipped at once
+    (5142, "full", True, False, (205, 37, 39, 39, 56)),
+    (5142, "none", True, True, (441, 0, 0, 0, 113)),
+    (5142, "budget:21", True, False, (293, 45, 9, 9, 84)),
+    (4366, "budget:3", True, True, (31, 0, 0, 0, 15)),
+    (5579, "full", True, True, (49, 1, 12, 12, 29)),
+    (3546, "none", True, False, (95, 0, 0, 0, 25)),
 ]
 
 
@@ -462,22 +513,30 @@ def test_deep_dtree_query_restores_recursion_limit():
     evidence = {net.var_id(name): s for name, s in observed.items()}
     limit = sys.getrecursionlimit()
     assert n > limit  # the spine is deeper than the limit the query runs under
-    res = rc_query(net, root, evidence, log_domain=True)
-    assert sys.getrecursionlimit() == limit
-    assert res.log_value == pytest.approx(forward_log_probability(doc, observed), rel=1e-12)
+    expected = forward_log_probability(doc, observed)
+    for kb in (None, compile_kb(net)):
+        res = rc_query(net, root, evidence, kb=kb, log_domain=True)
+        assert sys.getrecursionlimit() == limit
+        assert res.log_value == pytest.approx(expected, rel=1e-12)
 
 
 def test_query_leaves_no_cyclic_garbage():
     net = grid_network(4, seed=3)
     root = prepare_dtree(net)
+    det_net, det_evidence = pinned_case(5142)
+    det_root = prepare_dtree(det_net)
+    kb = compile_kb(det_net)
     gc.disable()
     try:
         gc.collect()
         res = rc_query(net, root, {0: 1, 15: 0})
         assert gc.collect() == 0
+        kb_res = rc_query(det_net, det_root, det_evidence, kb=kb)
+        assert gc.collect() == 0
     finally:
         gc.enable()
     assert res.cache_misses > 0
+    assert kb_res.kb_skips > 0
 
 
 def test_plan_is_lowered_once_per_dtree_and_network(chain):

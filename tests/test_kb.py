@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,8 @@ from rcnet import (
     brute_force_probability,
     compile_kb,
     parse_network,
+    prepare_dtree,
+    rc_query,
 )
 from rcnet.randnet import random_evidence, random_network
 
@@ -89,6 +92,15 @@ def test_duplicate_clauses_are_deduplicated():
     assert kb.n_clauses == 1
 
 
+def test_compiled_clauses_never_repeat():
+    # compile_kb keeps every clause it derives: none can repeat in a DAG
+    rng = random.Random(34)
+    for _ in range(40):
+        net = random_network(rng, max_vars=8, determinism=0.6)
+        clauses = compile_kb(net).clauses
+        assert len({clause_key(cl) for cl in clauses}) == len(clauses)
+
+
 def test_positive_rule_wins_over_zero_rows(gate):
     # rows with a probability-1 state emit only the positive clause
     kb = compile_kb(gate)
@@ -148,6 +160,13 @@ def test_asserting_satisfied_literal_is_noop(gate):
     assert kb.snapshot() == snap
 
 
+def test_cardinality_one_variable_is_known_from_the_start():
+    # V0 has one state, so (V0 != 0) is false and the clause forces V1 = 0
+    kb = KnowledgeBase([1, 2], [(lit(1, 0), lit(0, 0, False))])
+    assert kb.fixed == [0, 0]
+    assert kb.audit() == []
+
+
 # --- checkpoints -------------------------------------------------------
 
 
@@ -174,7 +193,7 @@ def test_stale_token_rejected():
         kb.retract_to(token + 5)
 
 
-def test_counters_match_recount_after_random_ops():
+def test_watches_pass_audit_after_random_ops():
     rng = random.Random(31)
     net = random_network(rng, max_vars=8, determinism=0.5)
     kb = compile_kb(net)
@@ -191,7 +210,22 @@ def test_counters_match_recount_after_random_ops():
             tokens.append(kb.checkpoint())
         else:
             kb.retract_to(tokens.pop())
-        assert kb.counts == kb.recount()
+        assert kb.audit() == []
+
+
+def test_audit_reports_a_broken_watch(gate):
+    kb = compile_kb(gate)
+    assert kb.audit() == []
+    codes = kb._lits[0]
+    codes[1], codes[2] = codes[2], codes[1]  # watch lists now disagree with the clause
+    assert any("watches" in problem for problem in kb.audit())
+
+
+def test_audit_reports_an_unasserted_unit_clause():
+    kb = KnowledgeBase([2, 2], [(lit(0, 0), lit(1, 0))])
+    assert kb.audit() == []
+    kb.domain[1] = 0b10  # falsify (V1 = 0) behind the KB's back
+    assert any("unasserted" in problem for problem in kb.audit())
 
 
 def test_fuzz_against_replay_oracle():
@@ -247,3 +281,36 @@ def test_contradictions_are_sound_on_random_networks():
             contradictions += 1
             assert not brute_force_probability(net, assignment) > 0
     assert contradictions > 0  # the suite must actually exercise the rule
+
+
+# --- long implication chains -------------------------------------------
+
+
+def copy_chain(n, root_table):
+    """Binary chain X0 -> X1 -> ... in which every Xi copies Xi-1 exactly."""
+    names = [f"X{i}" for i in range(n)]
+    cpts = [{"child": "X0", "parents": [], "kind": "table", "table": root_table}]
+    cpts += [{"child": c, "parents": [p], "kind": "table", "table": [1.0, 0.0, 0.0, 1.0]}
+             for p, c in zip(names, names[1:])]
+    return parse_network(json.dumps({
+        "variables": [{"name": v, "states": ["0", "1"]} for v in names], "cpts": cpts,
+    }))
+
+
+def test_query_propagates_a_long_copy_chain():
+    net = copy_chain(300, [0.5, 0.5])
+    root = prepare_dtree(net)
+    kb = compile_kb(net)
+    limit = sys.getrecursionlimit()
+    res = rc_query(net, root, {299: 1}, kb=kb)  # asserting X299 fixes all 300
+    assert sys.getrecursionlimit() == limit
+    assert res.probability == pytest.approx(0.5, rel=1e-12)
+    assert kb.fixed == [None] * 300
+
+
+def test_compile_propagates_a_long_deterministic_chain():
+    limit = sys.getrecursionlimit()
+    kb = compile_kb(copy_chain(1000, [0.0, 1.0]))  # the root's unit clause fixes all
+    assert sys.getrecursionlimit() == limit
+    assert kb.fixed == [1] * 1000
+    assert kb.audit() == []
