@@ -32,6 +32,7 @@ from .dtree import (
     dtree_stats,
     dtree_to_dot,
     dtree_to_json,
+    induced_order,
     mark_dead_caches,
     min_fill_order,
 )
@@ -57,12 +58,17 @@ def _write(path: str, text: str) -> None:
 
 
 def _prepared_dtree(network, dtree_in: str | None):
-    order = min_fill_order(network)
+    """The annotated, dead-marked dtree, the elimination order whose ve_space
+    the report gives (min-fill's, or the imported dtree's induced order) and
+    the number of dead caches."""
     if dtree_in is None:
+        order = min_fill_order(network)
         root = build_dtree(network, order)
+        annotate(root)
     else:
         root = dtree_from_json(network, _read(dtree_in))
-    annotate(root)
+        annotate(root)
+        order = induced_order(root)
     dead = mark_dead_caches(root)
     return root, order, dead
 

@@ -64,6 +64,7 @@ __all__ = [
     "annotate",
     "mark_dead_caches",
     "dtree_stats",
+    "induced_order",
     "iter_nodes",
     "recursion_room",
     "dtree_to_json",
@@ -383,6 +384,22 @@ def dtree_stats(root: DtreeNode) -> DtreeStats:
         cache_cells_all=cells_all,
         cache_cells_live=cells_live,
     )
+
+
+def induced_order(root: DtreeNode) -> list[int]:
+    """The elimination order an annotated dtree induces: in postorder, each
+    node eliminates its cluster minus its context, the variables its
+    parent's cluster lacks, so every variable is eliminated exactly once."""
+    nodes, stack = [], [root]
+    while stack:  # node, then its right subtree, then its left: reversed, a postorder
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += (node.left, node.right)
+    order: list[int] = []
+    for node in reversed(nodes):
+        order += sorted(node.cluster - node.context)
+    return order
 
 
 @contextmanager

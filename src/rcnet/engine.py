@@ -12,12 +12,17 @@ The walk runs over a QueryPlan, lists indexed by node id that are
 lowered once per annotated dtree and network and kept on the dtree's
 root (DtreeNode.plan) until annotate() runs again or another network
 object is queried: each node's children, its cutset as a sorted tuple,
-its context as (variable, stride) pairs and its cell count, and at each
-leaf its variable and the (parent, stride) pairs that index its family's
-row of the CPT entries directly.  Log-domain leaf tables are added the
-first time a log-domain query needs them.  Each query builds only what
+its context as (variable, stride) pairs, and at each leaf its variable
+and the (parent, stride) pairs that index its family's row of the CPT
+entries directly.  Log-domain leaf tables are added the first time a
+log-domain query needs them.  Each query builds only what
 depends on it: the cache tables (dead-cache marking and the cache policy
-decide which exist), one assignment list and its counters.  Leaves and
+decide which exist), one assignment list and its counters.  A cache
+table is one array('d') with a cell per instantiation of the context
+variables the evidence leaves open, 8 bytes a cell, and +inf (EMPTY) in
+the cells not yet filled; a context the evidence fixes has one cell.
+Its (variable, stride) pairs are the plan's up to the first observed
+variable and are recomputed past it, in one pass per query.  Leaves and
 cache hits are answered in one function and the cutset loop runs in
 another; the recursion takes two Python frames per dtree level, and a
 deep dtree raises the recursion limit for the query alone.
@@ -43,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -53,8 +59,9 @@ from .model import Network, TabularCpt, validate_evidence
 LOG_ZERO = float("-inf")
 UNASSIGNED = -1
 
-# dense cache tables above this many cells switch to keyed storage
-DENSE_CACHE_LIMIT = 1 << 20
+# an unfilled cache cell: node values are at most about 1 (linear) or 0 (log),
+# so no value is +inf, and array.count() finds the empty cells exactly
+EMPTY = math.inf
 
 # linear answers below this are re-answered in the log domain: node values never
 # exceed 1, so rounding in the subnormal range moves any larger answer by at most
@@ -112,6 +119,7 @@ class QueryResult:
     cache_hits: int
     cache_misses: int
     entries_written: int
+    cache_cells: int  # table cells allocated, 8 bytes each
     kb_enabled: bool = False
     kb_skips: int = 0
     kb_evidence_contradiction: bool = False
@@ -136,6 +144,7 @@ class QueryResult:
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "written": self.entries_written,
+                "cells": self.cache_cells,
             },
             "kb": {"enabled": self.kb_enabled, "skips": self.kb_skips},
             "kb_evidence_contradiction": self.kb_evidence_contradiction,
@@ -196,14 +205,6 @@ def lookup(network: Network, leaf: DtreeNode, assign: list[int],
     return p
 
 
-class _SparseCache(dict):
-    """Keyed cache table for contexts too large for a dense list; an
-    empty cell reads as None, as in a dense one."""
-
-    def __missing__(self, key):
-        return None
-
-
 def _context_strides(variables, cards) -> tuple[tuple[int, int], ...]:
     """(var, stride) pairs under the ascending-id, last-fastest convention."""
     strides = []
@@ -225,7 +226,7 @@ class QueryPlan:
     """
 
     __slots__ = (
-        "network", "root", "left", "right", "cutset", "context", "cells",
+        "network", "root", "left", "right", "cutset", "context",
         "leaf_var", "leaf_terms", "tables", "log_tables", "height",
     )
 
@@ -239,7 +240,6 @@ class QueryPlan:
         self.right = [-1] * n
         self.cutset: list[tuple[int, ...]] = [()] * n
         self.context: list[tuple[tuple[int, int], ...]] = [()] * n
-        self.cells = [0] * n
         self.leaf_var = [-1] * n
         self.leaf_terms: list[tuple[tuple[int, int], ...]] = [()] * n
         self.tables: list[tuple[float, ...] | None] = [None] * n
@@ -248,7 +248,6 @@ class QueryPlan:
         for node in nodes:  # preorder: a parent's depth is set before its children's
             i = node.id
             self.context[i] = _context_strides(node.context, cards)
-            self.cells[i] = node.cells  # as annotate() counted them
             if not node.is_leaf:
                 self.left[i] = node.left.id
                 self.right[i] = node.right.id
@@ -301,12 +300,44 @@ def _log_sum(terms: list[float]) -> float:
     return m + math.log(sum(math.exp(t - m) for t in finite))
 
 
-def _run_plan(plan: QueryPlan, caches: list, assign: list[int],
+def _open_caches(plan: QueryPlan, states: Mapping[int, str],
+                 evidence: list[int]) -> tuple[list[array | None], list]:
+    """One table per enabled cache, over the context variables the evidence
+    leaves open, and the (variable, stride) pairs that index it.
+
+    A table has a cell per open-context instantiation, all EMPTY; a
+    context the evidence fixes entirely gets one cell.  A context with no
+    observed variable keeps the plan's pairs, and so does every pair whose
+    stride the projection leaves unchanged.
+    """
+    cards = plan.network.cards
+    caches: list[array | None] = [None] * len(plan.left)
+    contexts = plan.context  # copied on the first context that changes
+    for t, state in states.items():
+        if state != LIVE:
+            continue
+        pairs = plan.context[t]
+        open_pairs = []
+        cells = 1
+        for pair in pairs:  # ascending stride
+            v = pair[0]
+            if evidence[v] < 0:
+                open_pairs.append(pair if pair[1] == cells else (v, cells))
+                cells *= cards[v]
+        if len(open_pairs) < len(pairs):
+            if contexts is plan.context:
+                contexts = list(contexts)
+            contexts[t] = tuple(open_pairs)
+        caches[t] = array("d", [EMPTY]) * cells
+    return caches, contexts
+
+
+def _run_plan(plan: QueryPlan, caches: list, contexts: list, assign: list[int],
               kb: KnowledgeBase | None, log_domain: bool) -> tuple[float, int, int, int]:
     """Value of the plan's root under `assign`, with the hits, the cutset
-    instantiations evaluated and the KB skips.  `assign` is back to its
-    entry state on return."""
-    left, right, cutset, context = plan.left, plan.right, plan.cutset, plan.context
+    instantiations evaluated and the KB skips.  A cached node t keys its
+    table by contexts[t].  `assign` is back to its entry state on return."""
+    left, right, cutset = plan.left, plan.right, plan.cutset
     leaf_var, leaf_terms = plan.leaf_var, plan.leaf_terms
     tables = plan.log_domain_tables() if log_domain else plan.tables
     cpts = plan.network.cpts
@@ -316,6 +347,7 @@ def _run_plan(plan: QueryPlan, caches: list, assign: list[int],
         kb.checkpoint, kb.assert_literal, kb.retract_to,
     )
     one = 0.0 if log_domain else 1.0
+    empty = EMPTY
     hits = evaluated = skips = 0
 
     def value(t: int) -> float:
@@ -339,10 +371,10 @@ def _run_plan(plan: QueryPlan, caches: list, assign: list[int],
         if cache is None:
             return expand(t)
         key = 0
-        for v, stride in context[t]:
+        for v, stride in contexts[t]:
             key += assign[v] * stride
         result = cache[key]
-        if result is None:
+        if result == empty:
             result = cache[key] = expand(t)
         else:
             hits += 1
@@ -453,13 +485,6 @@ def rc_query(
     """
     validate_evidence(network, evidence)
     plan = _plan_for(root, network)
-    states = apply_policy(root, policy or CachePolicy.full())
-    caches: list[list | _SparseCache | None] = [None] * len(plan.cells)
-    for node_id, state in states.items():
-        if state == LIVE:
-            cells = plan.cells[node_id]
-            caches[node_id] = [None] * cells if cells <= DENSE_CACHE_LIMIT else _SparseCache()
-
     expected = [UNASSIGNED] * network.n
     for var, state in evidence.items():
         expected[var] = state
@@ -478,13 +503,17 @@ def rc_query(
                             cache_hits=0,
                             cache_misses=0,
                             entries_written=0,
+                            cache_cells=0,
                             kb_enabled=True,
                             kb_skips=0,
                             kb_evidence_contradiction=True,
                             log_domain=log_domain,
                             log_value=LOG_ZERO if log_domain else None,
                         )
-            value, hits, evaluated, skips = _run_plan(plan, caches, assign, kb, log_domain)
+            caches, contexts = _open_caches(
+                plan, apply_policy(root, policy or CachePolicy.full()), expected)
+            value, hits, evaluated, skips = _run_plan(
+                plan, caches, contexts, assign, kb, log_domain)
         finally:
             if kb_token is not None:
                 kb.retract_to(kb_token)
@@ -497,9 +526,11 @@ def rc_query(
 
     # every miss fills exactly one cell
     per_node_misses = {}
+    cells = 0
     for node_id, cache in enumerate(caches):
         if cache is not None:
-            filled = len(cache) if isinstance(cache, _SparseCache) else len(cache) - cache.count(None)
+            cells += len(cache)
+            filled = len(cache) - cache.count(EMPTY)
             if filled:
                 per_node_misses[node_id] = filled
     misses = sum(per_node_misses.values())
@@ -516,6 +547,7 @@ def rc_query(
         cache_hits=hits,
         cache_misses=misses,
         entries_written=misses,
+        cache_cells=cells,
         kb_enabled=kb is not None,
         kb_skips=skips,
         log_domain=log_domain,

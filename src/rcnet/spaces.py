@@ -7,7 +7,10 @@ each, 8 bytes if you want bytes):
     shenoy_shafer  one table per separator (inward pass)
     ve             one table per cluster created while eliminating
     rc             one cell per context instantiation at caching dtree
-                   nodes, reported with and without dead caches
+                   nodes, reported with and without dead caches; a
+                   query's tables hold 8 bytes per instantiation of the
+                   context variables its evidence leaves open, at most
+                   these counts
 
 The jointree induced by a dtree has one cluster per dtree node and a
 separator per edge equal to the child's context.

@@ -120,7 +120,7 @@ def spine_chain_doc(n: int, seed: int) -> dict:
     return {"variables": [{"name": v, "states": ["0", "1"]} for v in names], "cpts": cpts}
 
 
-def grid_network(side: int, seed: int) -> Network:
+def grid_doc(side: int, seed: int) -> dict:
     """Binary side x side grid; each cell's parents are its upper and left neighbours."""
     rng = random.Random(seed)
     name = lambda r, c: f"G{r}_{c}"
@@ -131,4 +131,8 @@ def grid_network(side: int, seed: int) -> Network:
             variables.append({"name": name(r, c), "states": ["0", "1"]})
             cpts.append({"child": name(r, c), "parents": parents, "kind": "table",
                          "table": _binary_rows(rng, 2 ** len(parents))})
-    return parse_network(json.dumps({"variables": variables, "cpts": cpts}))
+    return {"variables": variables, "cpts": cpts}
+
+
+def grid_network(side: int, seed: int) -> Network:
+    return parse_network(json.dumps(grid_doc(side, seed)))

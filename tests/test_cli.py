@@ -3,9 +3,19 @@ import sys
 
 import pytest
 
+from rcnet import parse_evidence, parse_network, prepare_dtree, rc_query
+from rcnet.dtree import annotate, dtree_from_json, induced_order
 from rcnet.cli import main
+from rcnet.spaces import ve_space
 
-from helpers import chain_doc, gate_doc, right_linear_shape, spine_chain_doc, star_doc
+from helpers import (
+    chain_doc,
+    gate_doc,
+    grid_doc,
+    right_linear_shape,
+    spine_chain_doc,
+    star_doc,
+)
 
 
 @pytest.fixture
@@ -73,6 +83,23 @@ def test_query_log_space(capsys, tmp_path, gate_file):
     report = run_json(capsys, ["query", "--net", gate_file, "--evidence", evidence,
                                "--log-space", "on"])
     assert report["query"]["probability"] == pytest.approx(0.52, rel=1e-6)
+
+
+def test_query_reports_the_cache_cells_it_allocated(capsys, tmp_path):
+    doc = grid_doc(4, seed=2)
+    observed = {"G0_1": "1", "G1_1": "0", "G2_0": "1", "G3_2": "0"}
+    net_path = write_json(tmp_path, "grid.json", doc)
+    evidence = write_json(tmp_path, "e.json", observed)
+    full = run_json(capsys, ["query", "--net", net_path, "--evidence", evidence])
+    none = run_json(capsys, ["query", "--net", net_path, "--evidence", evidence,
+                             "--cache", "none"])
+    net = parse_network(json.dumps(doc))
+    expected = rc_query(net, prepare_dtree(net), parse_evidence(json.dumps(observed), net))
+    cells = full["query"]["cache"]["cells"]
+    assert cells == expected.cache_cells
+    # the evidence fixes part of some context, so fewer cells than live ones
+    assert 0 < cells < full["dtree"]["cache_cells_live"]
+    assert none["query"]["cache"]["cells"] == 0
 
 
 def test_query_kb_evidence_contradiction_flag(capsys, tmp_path, gate_file):
@@ -143,6 +170,25 @@ def test_stats_deep_dtree_round_trip(capsys, tmp_path):
     assert reimported["dtree"] == exported["dtree"]
     assert second.read_text() == first.read_text()
     assert len(first.read_bytes()) < 200_000  # no indentation growing with depth
+
+
+def test_stats_dtree_in_reports_its_induced_order_without_min_fill(capsys, tmp_path,
+                                                                     monkeypatch):
+    doc = grid_doc(4, seed=5)
+    net_path = write_json(tmp_path, "grid.json", doc)
+    dtree_path = tmp_path / "d.json"
+    run_json(capsys, ["stats", "--net", net_path, "--dtree-out", str(dtree_path)])
+
+    def refuse(network):
+        raise AssertionError("min_fill_order called")
+
+    monkeypatch.setattr("rcnet.cli.min_fill_order", refuse)
+    monkeypatch.setattr("rcnet.dtree.min_fill_order", refuse)
+    report = run_json(capsys, ["stats", "--net", net_path, "--dtree-in", str(dtree_path)])
+    net = parse_network(json.dumps(doc))
+    root = dtree_from_json(net, dtree_path.read_text())
+    annotate(root)
+    assert report["space"]["ve_cells"] == ve_space(net, induced_order(root))
 
 
 def test_stats_chain_fixture_cells(capsys, tmp_path):

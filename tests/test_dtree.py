@@ -16,7 +16,9 @@ from rcnet import (
     min_fill_order,
     parse_network,
 )
-from rcnet.dtree import DEAD, LIVE, greedy_fill_order, iter_nodes, moral_graph
+from rcnet.dtree import (
+    DEAD, LIVE, greedy_fill_order, induced_order, iter_nodes, moral_graph,
+)
 from rcnet.randnet import random_network
 
 from helpers import (
@@ -26,7 +28,13 @@ from helpers import (
     spine_chain_doc,
     star_network,
 )
-from oracles import brute_fill_counts, exact_treewidth, naive_annotations, reference_fill_order
+from oracles import (
+    brute_fill_counts,
+    elimination_cliques,
+    exact_treewidth,
+    naive_annotations,
+    reference_fill_order,
+)
 
 
 def names(net, ids):
@@ -195,6 +203,35 @@ def test_width_bounds_exact_treewidth():
         stats = annotate(root)
         assert stats.width >= exact_treewidth(moral_graph(net))
         checked += 1
+
+
+def random_shape(rng, names):
+    """A random full binary tree over the names."""
+    trees = list(names)
+    while len(trees) > 1:
+        a = trees.pop(rng.randrange(len(trees)))
+        b = trees.pop(rng.randrange(len(trees)))
+        trees.append([a, b])
+    return trees[0]
+
+
+def test_induced_order_cliques_fit_the_eliminating_clusters():
+    rng = random.Random(12)
+    for i in range(30):
+        net = random_network(rng, max_vars=9, max_joint=10**6)
+        if i % 2:
+            root = build_dtree(net, min_fill_order(net))
+        else:
+            root = dtree_from_shape(net, random_shape(rng, [v.name for v in net.variables]))
+        annotate(root)
+        order = induced_order(root)
+        assert sorted(order) == list(range(net.n))
+        eliminated_at = {
+            v: node for node in iter_nodes(root) for v in node.cluster - node.context
+        }
+        # so the order's induced width is at most the dtree's width
+        for v, clique in zip(order, elimination_cliques(moral_graph(net), order)):
+            assert clique <= eliminated_at[v].cluster
 
 
 def test_context_width_at_most_width_plus_one():

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -392,20 +393,73 @@ def test_cardinality_one_variable_in_queries():
     assert res.probability == pytest.approx(0.3, rel=1e-12)
 
 
-def test_sparse_cache_storage_agrees(monkeypatch, gate):
-    # force every cache onto the keyed-table path
-    monkeypatch.setattr("rcnet.engine.DENSE_CACHE_LIMIT", 0)
-    rng = random.Random(60)
-    for _ in range(10):
-        net = random_network(rng, max_vars=8, max_joint=1000)
-        evidence = random_evidence(rng, net)
+# A0 and D are roots, B copies A, C depends on B and E on A and D.  In the
+# shape below, the cache at [B, C] is keyed by A while the root walks A and
+# D, so each of its cells is looked up a second time; with B observed as 0,
+# the cell for A = 1 holds 0 (or -inf in the log domain).
+def copy_gate():
+    net = parse_network(json.dumps({
+        "variables": [{"name": n, "states": ["0", "1"]} for n in "ABCDE"],
+        "cpts": [
+            {"child": "A", "parents": [], "kind": "table", "table": [0.5, 0.5]},
+            {"child": "B", "parents": ["A"], "kind": "table", "table": [1, 0, 0, 1]},
+            {"child": "C", "parents": ["B"], "kind": "table",
+             "table": [0.9, 0.1, 0.2, 0.8]},
+            {"child": "D", "parents": [], "kind": "table", "table": [0.3, 0.7]},
+            {"child": "E", "parents": ["A", "D"], "kind": "table",
+             "table": [0.6, 0.4, 0.1, 0.9, 0.5, 0.5, 0.8, 0.2]},
+        ],
+    }))
+    root = dtree_from_shape(net, [[["B", "C"], "E"], ["A", "D"]])
+    annotate(root)
+    mark_dead_caches(root)
+    live = [n for n in iter_nodes(root) if n.cache_state == LIVE]
+    assert [n.context for n in live] == [frozenset({0})]
+    return net, root, live[0]
+
+
+@pytest.mark.parametrize("log_domain", [False, True])
+def test_cached_zero_values_are_hits(log_domain):
+    net, root, cached = copy_gate()
+    res = rc_query(net, root, {1: 0}, log_domain=log_domain)
+    assert res.probability == pytest.approx(0.5, rel=1e-12)
+    assert res.log_domain == log_domain  # the linear answer is not re-run
+    # four visits of the cache, one per (A, D): a miss and a hit for each A
+    assert (res.cache_hits, res.cache_misses, res.cache_cells) == (2, 2, 2)
+    assert res.per_node_misses == {cached.id: 2}
+    # evaluated: the root's four instantiations, once each at its two
+    # children, and one per miss at the cache
+    assert res.rc_calls == 1 + 2 * (4 + 2 * 4 + 2)
+
+
+def test_context_fixed_by_evidence_gets_one_cell():
+    net, root, cached = copy_gate()
+    res = rc_query(net, root, {0: 0, 1: 0})
+    assert res.probability == pytest.approx(0.5, rel=1e-12)
+    assert res.cache_cells == 1
+    assert res.per_node_misses == {cached.id: 1}
+    assert res.cache_hits == 1  # the root walks D twice under A = 0
+
+
+def test_cache_cells_are_the_open_context_instantiations():
+    rng = random.Random(61)
+    for _ in range(25):
+        net = random_network(rng, max_vars=9, max_states=3, max_joint=5000)
+        evidence = random_evidence(rng, net, p_observe=0.4)
         root = prepare_dtree(net)
-        sparse = rc_query(net, root, evidence)
-        monkeypatch.setattr("rcnet.engine.DENSE_CACHE_LIMIT", 1 << 20)
-        dense = rc_query(net, root, evidence)
-        monkeypatch.setattr("rcnet.engine.DENSE_CACHE_LIMIT", 0)
-        assert sparse.probability == dense.probability
-        assert sparse.rc_calls == dense.rc_calls
+        live = dtree_stats(root).cache_cells_live
+        for policy in (CachePolicy.full(), CachePolicy.none(),
+                       CachePolicy.budget(live // 2)):
+            states = apply_policy(root, policy)
+            expected = sum(
+                math.prod(net.cards[v] for v in node.context if v not in evidence)
+                for node in iter_nodes(root) if states[node.id] == LIVE
+            )
+            res = rc_query(net, root, evidence, policy=policy)
+            assert res.cache_cells == expected
+            assert res.cache_misses <= res.cache_cells
+            if policy.mode == "budget":
+                assert res.cache_cells <= policy.max_cells
 
 
 def test_query_leaves_dtree_untouched(gate):
@@ -429,7 +483,7 @@ def test_result_json_shape(gate):
     assert set(doc) == {
         "probability", "log10", "rc_calls", "cache", "kb", "kb_evidence_contradiction",
     }
-    assert set(doc["cache"]) == {"hits", "misses", "written"}
+    assert set(doc["cache"]) == {"hits", "misses", "written", "cells"}
     assert set(doc["kb"]) == {"enabled", "skips"}
 
 
@@ -537,6 +591,31 @@ def test_query_leaves_no_cyclic_garbage():
         gc.enable()
     assert res.cache_misses > 0
     assert kb_res.kb_skips > 0
+
+
+# Python heap high-water mark of the query below, in bytes, when every cache
+# was a list over the whole context, holding one boxed float per filled cell
+LIST_CACHE_PEAK = 119_704
+
+
+def test_query_peak_memory_is_below_half_of_list_caches():
+    net = grid_network(9, seed=1)
+    root = prepare_dtree(net)
+    rng = random.Random(1)
+    observed = rng.sample(range(net.n), round(0.3 * net.n))
+    evidence = {v: rng.randrange(2) for v in observed}
+    expected = rc_query(net, root, evidence)  # lowers the plan outside the window
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = rc_query(net, root, evidence)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.probability == expected.probability
+    assert res.cache_misses == 1776
+    assert peak < LIST_CACHE_PEAK / 2
 
 
 def test_plan_is_lowered_once_per_dtree_and_network(chain):
