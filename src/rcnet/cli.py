@@ -8,7 +8,8 @@
                 [--determinism F] [--seed N] [--oracle]
     rcnet kb-dump --net net.json [--out clauses.txt]
 
-query and stats print one pretty JSON report; bench prints one JSON
+query and stats print one pretty JSON report, with the seconds each
+stage took in its timings_s object; bench prints one JSON
 line per generated instance, and exits 1 when an instance errs or
 disagrees with the oracle by more than ORACLE_TOLERANCE.  Exit code 2
 signals a parse or validation problem, reported as a single diagnostic
@@ -23,7 +24,9 @@ import math
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
+from typing import Iterator
 
 from .dtree import (
     annotate,
@@ -46,6 +49,10 @@ __all__ = ["main"]
 
 ORACLE_TOLERANCE = 1e-9
 
+# the stages whose seconds `query` and `stats` report in timings_s; `query`
+# adds its query, and a stage the command did not run is null
+STAGES = ("parse", "min_fill", "build", "annotate", "mark_dead", "space", "kb_compile")
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -57,46 +64,70 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _prepared_dtree(network, dtree_in: str | None):
+@contextmanager
+def _timed(timings: dict, stage: str) -> Iterator[None]:
+    started = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - started
+
+
+def _prepared_dtree(network, dtree_in: str | None, timings: dict):
     """The annotated, dead-marked dtree, the elimination order whose ve_space
-    the report gives (min-fill's, or the imported dtree's induced order) and
-    the number of dead caches."""
+    the report gives (min-fill's, or None for an imported dtree, whose
+    induced order the report uses) and the number of dead caches.  Each
+    stage's seconds go into `timings`."""
     if dtree_in is None:
-        order = min_fill_order(network)
-        root = build_dtree(network, order)
-        annotate(root)
+        with _timed(timings, "min_fill"):
+            order = min_fill_order(network)
+        with _timed(timings, "build"):
+            root = build_dtree(network, order)
     else:
-        root = dtree_from_json(network, _read(dtree_in))
+        order = None
+        with _timed(timings, "build"):
+            root = dtree_from_json(network, _read(dtree_in))
+    with _timed(timings, "annotate"):
         annotate(root)
-        order = induced_order(root)
-    dead = mark_dead_caches(root)
+    with _timed(timings, "mark_dead"):
+        dead = mark_dead_caches(root)
     return root, order, dead
+
+
+def _space(network, order, root, timings: dict) -> dict:
+    with _timed(timings, "space"):
+        return asdict(space_report(network, induced_order(root) if order is None else order, root))
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    network = parse_network(_read(args.net))
-    evidence = parse_evidence(_read(args.evidence), network) if args.evidence else {}
-    root, order, dead = _prepared_dtree(network, None)
+    timings = dict.fromkeys(STAGES + ("query",))
+    with _timed(timings, "parse"):
+        network = parse_network(_read(args.net))
+        evidence = parse_evidence(_read(args.evidence), network) if args.evidence else {}
+    root, order, dead = _prepared_dtree(network, None, timings)
     if args.dtree_out:
         _write(args.dtree_out, dtree_to_json(root))
-    kb = compile_kb(network) if args.kb == "on" else None
-    result = rc_query(
-        network,
-        root,
-        evidence,
-        policy=CachePolicy.parse(args.cache),
-        kb=kb,
-        log_domain=args.log_space == "on",
-    )
+    kb = None
+    if args.kb == "on":
+        with _timed(timings, "kb_compile"):
+            kb = compile_kb(network)
+    with _timed(timings, "query"):
+        result = rc_query(
+            network,
+            root,
+            evidence,
+            policy=CachePolicy.parse(args.cache),
+            kb=kb,
+            log_domain=args.log_space == "on",
+        )
     report = {
         "network": args.net,
         "dtree": {**asdict(dtree_stats(root)), "dead_caches": dead},
-        "space": asdict(space_report(network, order, root)),
+        "space": _space(network, order, root, timings),
         "query": result.to_json_dict(),
         "kb_size": (
             {"clauses": kb.n_clauses, "literals": kb.n_literals} if kb is not None else None
         ),
+        "timings_s": timings,
         "wall_time_s": time.perf_counter() - started,
     }
     print(json.dumps(report, indent=2))
@@ -105,8 +136,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    network = parse_network(_read(args.net))
-    root, order, dead = _prepared_dtree(network, args.dtree_in)
+    timings = dict.fromkeys(STAGES)
+    with _timed(timings, "parse"):
+        network = parse_network(_read(args.net))
+    root, order, dead = _prepared_dtree(network, args.dtree_in, timings)
     if args.dtree_out:
         _write(args.dtree_out, dtree_to_json(root))
     if args.dtree_dot:
@@ -114,7 +147,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     report = {
         "network": args.net,
         "dtree": {**asdict(dtree_stats(root)), "dead_caches": dead},
-        "space": asdict(space_report(network, order, root)),
+        "space": _space(network, order, root, timings),
+        "timings_s": timings,
         "wall_time_s": time.perf_counter() - started,
     }
     print(json.dumps(report, indent=2))
@@ -136,7 +170,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             joint_size = math.prod(network.cards)
             evidence = random_evidence(rng, network)
-            root, order, dead = _prepared_dtree(network, None)
+            root, _, dead = _prepared_dtree(network, None, {})
             kb = compile_kb(network)
             plain = rc_query(network, root, evidence)
             pruned = rc_query(network, root, evidence, kb=kb)

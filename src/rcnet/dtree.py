@@ -5,7 +5,7 @@ leaf for X covers the family {X} union parents(X).  Each internal node
 splits the network in two: conditioning on its cutset disconnects the
 subtrees, and its context indexes the cache of results for the subtree.
 
-Annotations per node t:
+Annotations per node t, by definition:
 
     vars(t)     leaf: family;  internal: vars(left) | vars(right)
     acutset(t)  union of cutsets of t's ancestors
@@ -13,10 +13,26 @@ Annotations per node t:
     context(t)  vars(t) & acutset(t)
     cluster(t)  cutset | context (internal), vars(t) (leaf)
 
-annotate() computes these top down, as cutset(t) = vars(left) &
-vars(right) - context(t) and context(child) = vars(child) & cluster(t),
-so no node stores its acutset; the acutset property walks the parent
-chain when asked.
+annotate() stores cutset, context and cluster and no vars sets, so its
+memory is linear in the dtree's size; vars and acutset are properties
+computed when asked (from the leaves below, and along the parent
+chain).  With the leaves numbered left to right, and first(v) and
+last(v) the leftmost and rightmost leaves whose family mentions v,
+annotate() works bottom up:
+
+    context(t)  the variables of t that also occur outside t's leaf
+                range [lo, hi]: a leaf's family variables with first(v)
+                != last(v); for an internal t, the variables of
+                context(left) | context(right) with first(v) < lo or
+                last(v) > hi
+    cutset(t)   context(left) & context(right) - context(t)
+
+These agree with the definitions: a variable is in vars(left) &
+vars(right) of exactly the lowest common ancestor of its leaves, so it
+is in acutset(t) & vars(t) exactly when it occurs both inside and
+outside t, and vars(left) & vars(right) = context(left) &
+context(right).  So cutset(t) is the set of variables whose first and
+last leaf have t as their lowest common ancestor.
 
 Width is the largest cluster size minus one; context width is the
 largest context size.  Cache accounting counts one cell per context
@@ -28,6 +44,7 @@ count once; dtree_stats, the space report and the query plan read it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -78,7 +95,7 @@ class DtreeNode:
 
     __slots__ = (
         "id", "var", "left", "right", "parent",
-        "vars", "cutset", "context", "cluster",
+        "cutset", "context", "cluster",
         "cache_state", "cells", "network", "plan",
     )
 
@@ -90,18 +107,30 @@ class DtreeNode:
         self.left = left
         self.right = right
         self.parent: DtreeNode | None = None
-        self.vars: frozenset[int] = frozenset()
         self.cutset: frozenset[int] = frozenset()
         self.context: frozenset[int] = frozenset()
         self.cluster: frozenset[int] = frozenset()
         self.cache_state = DEAD
         self.cells = 0
         self.network: Network | None = None
-        self.plan = None  # the root's query plan (engine.QueryPlan), cleared by annotate()
+        self.plan = None  # the root's query plan (engine.QueryPlan), cleared by
+        # annotate() and mark_dead_caches()
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+    @property
+    def vars(self) -> frozenset[int]:
+        """Variables of the families below this node: the union of its
+        leaves' clusters, gathered when asked."""
+        if self.is_leaf:
+            return self.cluster
+        out: set[int] = set()
+        for node in iter_nodes(self):
+            if node.is_leaf:
+                out |= node.cluster
+        return frozenset(out)
 
     @property
     def acutset(self) -> frozenset[int]:
@@ -122,6 +151,7 @@ class DtreeNode:
 @dataclass(frozen=True)
 class DtreeStats:
     width: int
+    height: int  # nodes on the longest root-to-leaf path
     context_width: int
     cache_cells_all: int
     cache_cells_live: int
@@ -148,37 +178,55 @@ def moral_graph(network: Network) -> list[set[int]]:
     return adj
 
 
+def _fill_count(work: list[set[int]], v: int) -> int:
+    """Fill edges that eliminating v would add: its non-adjacent neighbour pairs."""
+    neigh = work[v]
+    d = len(neigh)
+    twice_edges = sum(len(neigh & work[a]) for a in neigh)
+    return d * (d - 1) // 2 - twice_edges // 2
+
+
 def greedy_fill_order(adj: Sequence[set[int]]) -> list[int]:
     """Min-fill elimination order over an undirected adjacency structure.
 
     Ties break by smaller current neighborhood, then smaller vertex id,
-    so the order is deterministic.
+    so the order is deterministic.  Keys sit in a heap with lazy
+    entries; an elimination rescores only the vertices whose key it can
+    change: the eliminated vertex's neighbours, and the common
+    neighbours of the two ends of each fill edge it adds (Kjaerulff,
+    "Triangulation of graphs: algorithms giving small total state
+    space", 1990).
     """
     work = [set(s) for s in adj]
-    remaining = set(range(len(work)))
+    fill = [_fill_count(work, v) for v in range(len(work))]
+    degree = [len(s) for s in work]
+    heap = [(fill[v], degree[v], v) for v in range(len(work))]
+    heapq.heapify(heap)
+    eliminated = [False] * len(work)
     order = []
-
-    def fill_count(v: int) -> int:
-        neigh = list(work[v])
-        count = 0
-        for i, a in enumerate(neigh):
-            for b in neigh[i + 1:]:
-                if b not in work[a]:
-                    count += 1
-        return count
-
-    while remaining:
-        best = min(remaining, key=lambda v: (fill_count(v), len(work[v]), v))
-        order.append(best)
-        neigh = list(work[best])
-        for i, a in enumerate(neigh):
-            for b in neigh[i + 1:]:
-                work[a].add(b)
-                work[b].add(a)
+    while heap:
+        f, d, v = heapq.heappop(heap)
+        if eliminated[v] or f != fill[v] or d != degree[v]:
+            continue  # a stale entry: v was eliminated or rescored since
+        eliminated[v] = True
+        order.append(v)
+        neigh = work[v]
+        work[v] = set()
+        fill_edges = []
         for a in neigh:
-            work[a].discard(best)
-        work[best].clear()
-        remaining.discard(best)
+            work[a].discard(v)
+            fill_edges += [(a, b) for b in neigh - work[a] if a < b]
+        for a, b in fill_edges:
+            work[a].add(b)
+            work[b].add(a)
+        touched = set(neigh)
+        for a, b in fill_edges:
+            touched |= work[a] & work[b]
+        for u in touched:
+            f, d = _fill_count(work, u), len(work[u])
+            if f != fill[u] or d != degree[u]:
+                fill[u], degree[u] = f, d
+                heapq.heappush(heap, (f, d, u))
     return order
 
 
@@ -191,13 +239,10 @@ def min_fill_order(network: Network) -> list[int]:
 # construction
 
 
-def _compose_balanced(trees: list[tuple[DtreeNode, set[int]]]) -> tuple[DtreeNode, set[int]]:
-    """Fold a list of (tree, vars) pairwise per level, keeping queue order."""
+def _compose_balanced(trees: list[DtreeNode]) -> DtreeNode:
+    """Fold a list of trees pairwise per level, keeping queue order."""
     while len(trees) > 1:
-        nxt = []
-        for i in range(0, len(trees) - 1, 2):
-            (l, lv), (r, rv) = trees[i], trees[i + 1]
-            nxt.append((DtreeNode(left=l, right=r), lv | rv))
+        nxt = [DtreeNode(left=trees[i], right=trees[i + 1]) for i in range(0, len(trees) - 1, 2)]
         if len(trees) % 2:
             nxt.append(trees[-1])
         trees = nxt
@@ -214,32 +259,41 @@ def _finish(root: DtreeNode, network: Network) -> DtreeNode:
 def build_dtree(network: Network, order: Sequence[int]) -> DtreeNode:
     """Build a dtree from an elimination order.
 
-    Starts with one leaf per CPT family; each variable in the order
-    merges every tree whose vars mention it (balanced fold, queue
-    order); leftover component trees are folded at the end.
+    Starts with one leaf per CPT family, in variable-id order; each
+    variable in the order merges every tree with a leaf whose family
+    mentions it (balanced fold, queue order); leftover component trees
+    are folded at the end.  Trees are the classes of a union-find over
+    the leaves, each represented by its least leaf, which is also its
+    place in the queue.
     """
-    if sorted(order) != list(range(network.n)):
+    n = network.n
+    if sorted(order) != list(range(n)):
         raise ValueError("elimination order is not a permutation of the variable ids")
-    trees: list[tuple[DtreeNode, set[int]]] = [
-        (DtreeNode(var=v), set(network.family(v))) for v in range(network.n)
-    ]
+    mentions: list[list[int]] = [[] for _ in range(n)]  # leaves whose family has v
+    for leaf in range(n):
+        for v in network.family(leaf):
+            mentions[v].append(leaf)
+    owner = list(range(n))  # union-find links; a class's root is its least leaf
+    tree: list[DtreeNode | None] = [DtreeNode(var=v) for v in range(n)]
+
+    def find(leaf: int) -> int:
+        root = leaf
+        while owner[root] != root:
+            root = owner[root]
+        while owner[leaf] != root:
+            owner[leaf], leaf = root, owner[leaf]
+        return root
+
     for v in order:
-        matched = [t for t in trees if v in t[1]]
-        if len(matched) <= 1:
+        roots = sorted({find(leaf) for leaf in mentions[v]})
+        if len(roots) <= 1:
             continue
-        composite = _compose_balanced(matched)
-        merged = []
-        placed = False
-        for t in trees:
-            if v in t[1]:
-                if not placed:
-                    merged.append(composite)
-                    placed = True
-            else:
-                merged.append(t)
-        trees = merged
-    root, _ = _compose_balanced(trees)
-    return _finish(root, network)
+        first = roots[0]
+        tree[first] = _compose_balanced([tree[r] for r in roots])
+        for r in roots[1:]:
+            owner[r] = first
+            tree[r] = None
+    return _finish(_compose_balanced([tree[r] for r in range(n) if owner[r] == r]), network)
 
 
 def dtree_from_shape(network: Network, shape) -> DtreeNode:
@@ -289,7 +343,7 @@ def iter_nodes(root: DtreeNode) -> Iterator[DtreeNode]:
 
 
 def annotate(root: DtreeNode) -> DtreeStats:
-    """Fill vars/cutset/context/cluster and reset cache states and the query plan.
+    """Fill cutset/context/cluster and reset cache states and the query plan.
 
     Caching candidates (internal non-root nodes) start live; the root
     and the leaves never cache.  Raises ValueError when the leaves do
@@ -299,51 +353,65 @@ def annotate(root: DtreeNode) -> DtreeStats:
     if network is None:
         raise ValueError("dtree root is not attached to a network")
 
-    seen_vars: list[int] = []
-    postorder: list[DtreeNode] = []
-    stack: list[tuple[DtreeNode, bool]] = [(root, False)]
+    # Preorder, setting parents: the leaves come left to right.
+    nodes: list[DtreeNode] = []
+    stack: list[DtreeNode] = [root]
+    root.parent = None
     while stack:
-        node, expanded = stack.pop()
-        if expanded or node.is_leaf:
-            postorder.append(node)
-            continue
-        stack.append((node, True))
-        stack.append((node.right, False))
-        stack.append((node.left, False))
-
-    for node in postorder:
-        if node.is_leaf:
-            if node.var is None or not (0 <= node.var < network.n):
-                raise ValueError(f"leaf references unknown variable {node.var!r}")
-            seen_vars.append(node.var)
-            node.vars = frozenset(network.family(node.var))
-        else:
-            node.vars = node.left.vars | node.right.vars
-
+        node = stack.pop()
+        nodes.append(node)
+        if node.left is not None:
+            node.left.parent = node.right.parent = node
+            stack.append(node.right)
+            stack.append(node.left)
+    seen_vars = [node.var for node in nodes if node.left is None]
+    for var in seen_vars:
+        if var is None or not (0 <= var < network.n):
+            raise ValueError(f"leaf references unknown variable {var!r}")
     if sorted(seen_vars) != list(range(network.n)):
         raise ValueError("dtree leaves do not cover every network variable exactly once")
 
-    # Top down: a child's context is its vars within its parent's cluster,
-    # which holds every ancestor cutset variable the child mentions, so no
-    # node stores its acutset.
+    # first[v], last[v]: the leftmost and rightmost positions of the leaves
+    # whose family mentions v; `shared` holds the variables of two leaves or more
+    first = [-1] * network.n
+    last = [-1] * network.n
+    for pos, var in enumerate(seen_vars):
+        for v in network.family(var):
+            if first[v] < 0:
+                first[v] = pos
+            last[v] = pos
+    shared = frozenset(v for v in range(network.n) if first[v] != last[v])
+
+    # Children before parents: reversed preorder visits a node's right
+    # subtree, then its left one, then the node, so `below` holds the
+    # (context, first leaf, last leaf) of the left child on top of the
+    # right child's.  context(t) is the variables of t that also occur
+    # outside its leaf range; those of an internal t come from its
+    # children's contexts, and cutset(t) is what the children's contexts
+    # share that t's context lacks.
     cards = network.cards
-    root.plan = None
-    root.parent = None
-    root.context = frozenset()
-    for node in iter_nodes(root):
-        if node.is_leaf:
+    below: list[tuple[frozenset[int], int, int]] = []
+    pos = len(seen_vars)
+    for node in reversed(nodes):
+        if node.left is None:
+            pos -= 1
+            node.cluster = frozenset(network.family(node.var))
+            context = node.cluster & shared
             node.cutset = frozenset()
-            node.cluster = node.vars
             node.cache_state = DEAD
             node.cells = 0
-            continue
-        node.cutset = (node.left.vars & node.right.vars) - node.context
-        node.cluster = node.cutset | node.context
-        node.cells = math.prod(cards[v] for v in node.context)
-        node.cache_state = DEAD if node.parent is None else LIVE
-        for child in (node.left, node.right):
-            child.parent = node
-            child.context = child.vars & node.cluster
+            lo = hi = pos
+        else:
+            left, lo, _ = below.pop()
+            right, _, hi = below.pop()
+            context = frozenset(v for v in left | right if first[v] < lo or last[v] > hi)
+            node.cutset = (left & right) - context
+            node.cluster = node.cutset | context
+            node.cells = math.prod(cards[v] for v in context)
+            node.cache_state = LIVE if node.parent is not None else DEAD
+        node.context = context
+        below.append((context, lo, hi))
+    root.plan = None
     return dtree_stats(root)
 
 
@@ -352,8 +420,10 @@ def mark_dead_caches(root: DtreeNode) -> int:
 
     An internal non-root node whose context contains its parent's
     context is dead: by the time the parent recomputes, its own cache
-    already answers.  Returns the number of nodes marked.
+    already answers.  Clears the root's query plan, which holds the
+    cache states it resolved.  Returns the number of nodes marked.
     """
+    root.plan = None
     marked = 0
     for node in iter_nodes(root):
         if node.is_leaf or node.parent is None:
@@ -366,20 +436,30 @@ def mark_dead_caches(root: DtreeNode) -> int:
 
 
 def dtree_stats(root: DtreeNode) -> DtreeStats:
-    """Width, context width, and cache-cell counts under the current states."""
+    """Width, height, context width, and cache-cell counts under the current states."""
     width = 0
+    height = 0
     context_width = 0
     cells_all = 0
     cells_live = 0
-    for node in iter_nodes(root):
-        width = max(width, len(node.cluster) - 1)
-        context_width = max(context_width, len(node.context))
-        if not node.is_leaf and node.parent is not None:
-            cells_all += node.cells
-            if node.cache_state == LIVE:
-                cells_live += node.cells
+    level = [root]
+    while level:  # one dtree level per pass
+        height += 1
+        below = []
+        for node in level:
+            width = max(width, len(node.cluster) - 1)
+            context_width = max(context_width, len(node.context))
+            if node.is_leaf:
+                continue
+            below += (node.left, node.right)
+            if node.parent is not None:
+                cells_all += node.cells
+                if node.cache_state == LIVE:
+                    cells_live += node.cells
+        level = below
     return DtreeStats(
         width=width,
+        height=height,
         context_width=context_width,
         cache_cells_all=cells_all,
         cache_cells_live=cells_live,

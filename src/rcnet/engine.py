@@ -10,19 +10,20 @@ of caches may be enabled without affecting the returned probability.
 
 The walk runs over a QueryPlan, lists indexed by node id that are
 lowered once per annotated dtree and network and kept on the dtree's
-root (DtreeNode.plan) until annotate() runs again or another network
-object is queried: each node's children, its cutset as a sorted tuple,
-its context as (variable, stride) pairs, and at each leaf its variable
-and the (parent, stride) pairs that index its family's row of the CPT
-entries directly.  Log-domain leaf tables are added the first time a
-log-domain query needs them.  Each query builds only what
-depends on it: the cache tables (dead-cache marking and the cache policy
-decide which exist), one assignment list and its counters.  A cache
-table is one array('d') with a cell per instantiation of the context
-variables the evidence leaves open, 8 bytes a cell, and +inf (EMPTY) in
-the cells not yet filled; a context the evidence fixes has one cell.
-Its (variable, stride) pairs are the plan's up to the first observed
-variable and are recomputed past it, in one pass per query.  Leaves and
+root (DtreeNode.plan) until annotate() or mark_dead_caches() runs again
+or another network object is queried: each node's children, its cutset
+as a sorted tuple, its context as (variable, stride) pairs, and at each
+leaf its variable and the (parent, stride) pairs that index its
+family's row of the CPT entries directly.  Log-domain leaf tables are
+added the first time a log-domain query needs them, and the caches a
+cache policy enables (apply_policy over the dead-cache marks) the first
+time a query runs under that policy.  Each query builds only what
+depends on it: the cache tables, one assignment list and its counters.
+A cache table is one array('d') with a cell per instantiation of the
+context variables the evidence leaves open, 8 bytes a cell, and +inf
+(EMPTY) in the cells not yet filled; a context the evidence fixes has
+one cell.  Its (variable, stride) pairs are the plan's up to the first
+observed variable and are recomputed past it, in one pass per query.  Leaves and
 cache hits are answered in one function and the cutset loop runs in
 another; the recursion takes two Python frames per dtree level, and a
 deep dtree raises the recursion limit for the query alone.
@@ -52,7 +53,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .dtree import DtreeNode, DISABLED, LIVE, iter_nodes, recursion_room
+from .dtree import DtreeNode, DISABLED, LIVE, dtree_stats, iter_nodes, recursion_room
 from .kb import KnowledgeBase
 from .model import Network, TabularCpt, validate_evidence
 
@@ -152,7 +153,8 @@ class QueryResult:
 
 
 def apply_policy(root: DtreeNode, policy: CachePolicy) -> dict[int, str]:
-    """Resolve per-node cache states for one query.
+    """Resolve per-node cache states under a policy; rc_query resolves
+    them once per query plan and policy.
 
     Dead caches stay dead under every policy.  A budget enables live
     candidates in ascending cell-count order (ties by node id) while
@@ -222,12 +224,13 @@ class QueryPlan:
     A tabular leaf reads entries[assign[var] + sum(assign[p] * stride)]
     over its leaf_terms; a noisy-or leaf has no table and asks its CPT.
     Queries never change a plan, except that the first log-domain query
-    fills in log_tables.
+    fills in log_tables and the first query under each cache policy
+    records the caches it enables.
     """
 
     __slots__ = (
         "network", "root", "left", "right", "cutset", "context",
-        "leaf_var", "leaf_terms", "tables", "log_tables", "height",
+        "leaf_var", "leaf_terms", "tables", "log_tables", "height", "enabled",
     )
 
     def __init__(self, root: DtreeNode, network: Network):
@@ -244,15 +247,15 @@ class QueryPlan:
         self.leaf_terms: list[tuple[tuple[int, int], ...]] = [()] * n
         self.tables: list[tuple[float, ...] | None] = [None] * n
         self.log_tables: list[tuple[float, ...] | None] | None = None
-        depth = [1] * n
-        for node in nodes:  # preorder: a parent's depth is set before its children's
+        # per cache policy, the ids of the nodes whose cache it enables
+        self.enabled: dict[CachePolicy, tuple[int, ...]] = {}
+        for node in nodes:
             i = node.id
             self.context[i] = _context_strides(node.context, cards)
             if not node.is_leaf:
                 self.left[i] = node.left.id
                 self.right[i] = node.right.id
                 self.cutset[i] = tuple(sorted(node.cutset))
-                depth[node.left.id] = depth[node.right.id] = depth[i] + 1
                 continue
             cpt = network.cpts[node.var]
             for p in cpt.parents:
@@ -271,7 +274,7 @@ class QueryPlan:
                     stride *= cards[p]
                 self.leaf_terms[i] = tuple(terms)
                 self.tables[i] = cpt.entries
-        self.height = max(depth)
+        self.height = dtree_stats(root).height
 
     def log_domain_tables(self) -> list[tuple[float, ...] | None]:
         if self.log_tables is None:
@@ -300,7 +303,17 @@ def _log_sum(terms: list[float]) -> float:
     return m + math.log(sum(math.exp(t - m) for t in finite))
 
 
-def _open_caches(plan: QueryPlan, states: Mapping[int, str],
+def _enabled_caches(plan: QueryPlan, root: DtreeNode, policy: CachePolicy) -> tuple[int, ...]:
+    """The ids of the nodes whose cache the policy enables, resolved by
+    apply_policy on the plan's first query under the policy."""
+    enabled = plan.enabled.get(policy)
+    if enabled is None:
+        states = apply_policy(root, policy)
+        enabled = plan.enabled[policy] = tuple(t for t, s in states.items() if s == LIVE)
+    return enabled
+
+
+def _open_caches(plan: QueryPlan, enabled: tuple[int, ...],
                  evidence: list[int]) -> tuple[list[array | None], list]:
     """One table per enabled cache, over the context variables the evidence
     leaves open, and the (variable, stride) pairs that index it.
@@ -313,9 +326,7 @@ def _open_caches(plan: QueryPlan, states: Mapping[int, str],
     cards = plan.network.cards
     caches: list[array | None] = [None] * len(plan.left)
     contexts = plan.context  # copied on the first context that changes
-    for t, state in states.items():
-        if state != LIVE:
-            continue
+    for t in enabled:
         pairs = plan.context[t]
         open_pairs = []
         cells = 1
@@ -510,8 +521,8 @@ def rc_query(
                             log_domain=log_domain,
                             log_value=LOG_ZERO if log_domain else None,
                         )
-            caches, contexts = _open_caches(
-                plan, apply_policy(root, policy or CachePolicy.full()), expected)
+            enabled = _enabled_caches(plan, root, policy or CachePolicy.full())
+            caches, contexts = _open_caches(plan, enabled, expected)
             value, hits, evaluated, skips = _run_plan(
                 plan, caches, contexts, assign, kb, log_domain)
         finally:

@@ -7,11 +7,53 @@ structures; none of it shares code paths with the package internals.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from rcnet import Network
 from rcnet.dtree import DtreeNode
 from rcnet.spaces import Jointree
+
+
+def reference_build_dtree(network: Network, order: list[int]) -> DtreeNode:
+    """Dtree from an elimination order by scanning every tree's variable
+    set for each variable: the trees that mention it, in queue order,
+    fold pairwise per level into one, which takes the first one's place;
+    the leftover trees fold the same way at the end."""
+
+    def fold(trees):
+        while len(trees) > 1:
+            nxt = [
+                (DtreeNode(left=l, right=r), lv | rv)
+                for (l, lv), (r, rv) in zip(trees[0::2], trees[1::2])
+            ]
+            if len(trees) % 2:
+                nxt.append(trees[-1])
+            trees = nxt
+        return trees[0]
+
+    trees = [(DtreeNode(var=v), set(network.family(v))) for v in range(network.n)]
+    for v in order:
+        matched = [t for t in trees if v in t[1]]
+        if len(matched) <= 1:
+            continue
+        composite = fold(matched)
+        at = trees.index(matched[0])
+        trees = [t for t in trees if v not in t[1]]
+        trees.insert(at, composite)
+    return fold(trees)[0]
+
+
+def dtree_shape(root: DtreeNode) -> list[int | None]:
+    """Leaf variables in preorder, None at internal nodes: for a full binary
+    tree this determines the shape."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node.var if node.is_leaf else None)
+        if not node.is_leaf:
+            stack += (node.right, node.left)
+    return out
 
 
 def naive_annotations(root: DtreeNode, network: Network) -> dict[int, dict]:
@@ -117,6 +159,25 @@ def reference_fill_order(adj: list[set[int]]) -> list[int]:
             work[b].add(a)
         remaining.discard(v)
     return order
+
+
+def forward_log_probability(doc, evidence_by_name):
+    """ln Pr(e) on a chain document by a scaled forward pass over its tables."""
+    alpha = None
+    log_scale = 0.0
+    for cpt in doc["cpts"]:
+        table = cpt["table"]
+        if alpha is None:
+            alpha = list(table)
+        else:
+            alpha = [sum(alpha[a] * table[2 * a + b] for a in range(2)) for b in range(2)]
+        observed = evidence_by_name.get(cpt["child"])
+        if observed is not None:
+            alpha = [p if b == observed else 0.0 for b, p in enumerate(alpha)]
+        z = sum(alpha)
+        log_scale += math.log(z)
+        alpha = [p / z for p in alpha]
+    return log_scale
 
 
 def check_running_intersection(jt: Jointree) -> bool:

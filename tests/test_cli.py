@@ -222,6 +222,39 @@ def test_stats_dtree_exports(capsys, tmp_path, gate_file):
     assert out_dot.read_text().startswith("digraph")
 
 
+PREPARATION_STAGES = {"parse", "min_fill", "build", "annotate", "mark_dead", "space"}
+
+
+def test_query_reports_height_and_stage_timings(capsys, tmp_path, gate_file):
+    evidence = write_json(tmp_path, "e.json", {"C": "2"})
+    report = run_json(capsys, ["query", "--net", gate_file, "--evidence", evidence,
+                               "--kb", "on"])
+    assert report["dtree"]["height"] == 3  # three leaves under a two-level fold
+    timings = report["timings_s"]
+    assert set(timings) == PREPARATION_STAGES | {"kb_compile", "query"}
+    assert all(t >= 0 for t in timings.values())
+    assert sum(timings.values()) <= report["wall_time_s"]
+    off = run_json(capsys, ["query", "--net", gate_file])
+    assert off["timings_s"]["kb_compile"] is None
+
+
+def test_stats_reports_height_and_stage_timings(capsys, tmp_path):
+    n = 199
+    net_path = write_json(tmp_path, "spine.json", spine_chain_doc(n, seed=4))
+    spine = tmp_path / "spine_dtree.json"
+    spine.write_text(spine_dtree_text(n))
+    report = run_json(capsys, ["stats", "--net", net_path])
+    assert report["dtree"]["height"] == n + 1  # min-fill folds the chain into a spine
+    timings = report["timings_s"]
+    assert set(timings) == PREPARATION_STAGES | {"kb_compile"}
+    assert timings["kb_compile"] is None
+    assert all(timings[stage] >= 0 for stage in PREPARATION_STAGES)
+    imported = run_json(capsys, ["stats", "--net", net_path, "--dtree-in", str(spine)])
+    assert imported["dtree"]["height"] == n + 1
+    assert imported["timings_s"]["min_fill"] is None
+    assert imported["timings_s"]["build"] >= 0
+
+
 def test_bench_zero_instances(capsys):
     code, out, err = run(capsys, ["bench", "--instances", "0"])
     assert code == 0

@@ -1,10 +1,13 @@
 import json
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 from rcnet import (
+    CachePolicy,
     annotate,
     build_dtree,
     dtree_from_json,
@@ -15,6 +18,8 @@ from rcnet import (
     mark_dead_caches,
     min_fill_order,
     parse_network,
+    prepare_dtree,
+    rc_query,
 )
 from rcnet.dtree import (
     DEAD, LIVE, greedy_fill_order, induced_order, iter_nodes, moral_graph,
@@ -24,15 +29,19 @@ from rcnet.randnet import random_network
 from helpers import (
     chain_network,
     gate_network,
+    grid_network,
     right_linear_shape,
     spine_chain_doc,
     star_network,
 )
 from oracles import (
     brute_fill_counts,
+    dtree_shape,
     elimination_cliques,
     exact_treewidth,
+    forward_log_probability,
     naive_annotations,
+    reference_build_dtree,
     reference_fill_order,
 )
 
@@ -76,9 +85,11 @@ def test_min_fill_four_cycle_graph():
 
 def test_min_fill_matches_reference_on_random_networks():
     rng = random.Random(42)
-    for _ in range(25):
-        net = random_network(rng, max_vars=9)
+    for _ in range(40):
+        net = random_network(rng, max_vars=30, max_states=2, max_joint=2**30)
         assert min_fill_order(net) == reference_fill_order(moral_graph(net))
+    grid = grid_network(7, seed=2)
+    assert min_fill_order(grid) == reference_fill_order(moral_graph(grid))
 
 
 # --- construction ----------------------------------------------------------
@@ -134,6 +145,22 @@ def test_build_disconnected_components_fold_with_empty_cutset():
     assert root.cutset == frozenset()
 
 
+def random_orders(rng, count):
+    """Random networks, each with its min-fill order and with a shuffled order."""
+    for _ in range(count):
+        net = random_network(rng, max_vars=12)
+        yield net, min_fill_order(net)
+        yield net, rng.sample(range(net.n), net.n)
+
+
+def test_build_matches_the_list_scan_reference():
+    rng = random.Random(17)
+    for net, order in random_orders(rng, 100):
+        root = build_dtree(net, order)
+        expected = reference_build_dtree(net, order)
+        assert dtree_shape(root) == dtree_shape(expected)
+
+
 def test_shape_builder_validates_leaf_cover():
     net = chain_network()
     root = dtree_from_shape(net, ["A", "B"])
@@ -149,9 +176,8 @@ def test_shape_builder_validates_leaf_cover():
 
 def test_annotations_match_naive_recomputation():
     rng = random.Random(5)
-    for _ in range(30):
-        net = random_network(rng, max_vars=10)
-        root = build_dtree(net, min_fill_order(net))
+    for net, order in random_orders(rng, 100):
+        root = build_dtree(net, order)
         annotate(root)
         expected = naive_annotations(root, net)
         for node in iter_nodes(root):
@@ -183,6 +209,35 @@ def test_structural_invariants_on_random_networks():
                 assert node.acutset == node.parent.acutset | node.parent.cutset
         assert sorted(seen_leaf_vars) == list(range(net.n))
         assert root.context == frozenset()
+
+
+def test_annotate_memory_is_linear_on_a_deep_chain():
+    # a vars set per node would hold about 2M entries here, some 85 MB
+    net = parse_network(json.dumps(spine_chain_doc(1999, 1)))
+    root = build_dtree(net, min_fill_order(net))
+    tracemalloc.start()
+    try:
+        annotate(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dtree_stats(root).height == 2000
+    assert peak < 10 * 2**20
+
+
+def test_prepares_and_answers_a_5000_variable_chain():
+    doc = spine_chain_doc(4999, 3)
+    net = parse_network(json.dumps(doc))
+    started = time.perf_counter()
+    root = prepare_dtree(net)
+    # about 0.1 s; a step quadratic in the chain's length takes tens of seconds
+    assert time.perf_counter() - started < 10
+    stats = dtree_stats(root)
+    assert (stats.width, stats.height) == (1, 5000)
+    evidence = {v: v % 2 for v in range(0, net.n, 3)}
+    result = rc_query(net, root, evidence, policy=CachePolicy.full(), log_domain=True)
+    by_name = {net.variables[v].name: s for v, s in evidence.items()}
+    assert result.log_value == pytest.approx(forward_log_probability(doc, by_name), rel=1e-12)
 
 
 def test_root_context_always_empty():

@@ -37,6 +37,7 @@ from helpers import (
     spine_chain_doc,
     star_network,
 )
+from oracles import forward_log_probability
 
 
 def rel_err(a, b):
@@ -536,25 +537,6 @@ def test_work_counters_pinned(seed, policy, use_kb, log_domain, work):
     assert rel_err(res.probability, expected) <= (1e-9 if log_domain else 1e-12)
 
 
-def forward_log_probability(doc, evidence_by_name):
-    """ln Pr(e) on a chain document by a scaled forward pass over its tables."""
-    alpha = None
-    log_scale = 0.0
-    for cpt in doc["cpts"]:
-        table = cpt["table"]
-        if alpha is None:
-            alpha = list(table)
-        else:
-            alpha = [sum(alpha[a] * table[2 * a + b] for a in range(2)) for b in range(2)]
-        observed = evidence_by_name.get(cpt["child"])
-        if observed is not None:
-            alpha = [p if b == observed else 0.0 for b, p in enumerate(alpha)]
-        z = sum(alpha)
-        log_scale += math.log(z)
-        alpha = [p / z for p in alpha]
-    return log_scale
-
-
 def test_deep_dtree_query_restores_recursion_limit():
     n = 1199
     doc = spine_chain_doc(n, seed=12)
@@ -630,6 +612,30 @@ def test_plan_is_lowered_once_per_dtree_and_network(chain):
     assert root.plan is not plan and root.plan.network is twin
     annotate(root)
     assert root.plan is None
+
+
+def test_mark_dead_caches_after_a_query_changes_the_next_querys_caches(chain):
+    root = build_dtree(chain, [0, 2, 1])  # its one cache is dead (test_dtree)
+    annotate(root)
+    before = rc_query(chain, root, {})
+    assert before.cache_cells == 2
+    assert mark_dead_caches(root) == 1
+    assert root.plan is None
+    after = rc_query(chain, root, {})
+    assert after.cache_cells == 0
+    assert after.probability == pytest.approx(before.probability, rel=1e-12)
+
+
+def test_plan_resolves_each_cache_policy_once(chain):
+    root = prepare_dtree(chain)
+    rc_query(chain, root, {1: 0}, policy=CachePolicy.budget(4))
+    rc_query(chain, root, {1: 1}, policy=CachePolicy.budget(4))
+    rc_query(chain, root, {1: 1})
+    plan = root.plan
+    assert set(plan.enabled) == {CachePolicy.budget(4), CachePolicy.full()}
+    for policy, enabled in plan.enabled.items():
+        states = apply_policy(root, policy)
+        assert enabled == tuple(t for t, state in states.items() if state == LIVE)
 
 
 def test_plan_rejects_parent_outside_leaf_context(chain):

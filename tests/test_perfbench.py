@@ -15,7 +15,7 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["grid-full", "linkage-kb-budget"])
+@pytest.mark.parametrize("workload", ["grid-full", "linkage-kb-budget", "chain-prep-log"])
 def test_traced_benchmark_round_is_correct(workload):
     cmd = [sys.executable, str(RUN), "--workload", workload, "--small",
            "--seconds", "1", "--seed", "7", "--trace", "1"]
