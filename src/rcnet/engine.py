@@ -12,36 +12,44 @@ The walk runs over a QueryPlan, lists indexed by node id that are
 lowered once per annotated dtree and network and kept on the dtree's
 root (DtreeNode.plan) until annotate() or mark_dead_caches() runs again
 or another network object is queried: each node's children, its cutset
-as a sorted tuple, its context as (variable, stride) pairs, and at each
-leaf its variable and the (parent, stride) pairs that index its
-family's row of the CPT entries directly.  Log-domain leaf tables are
-added the first time a log-domain query needs them, and the caches a
-cache policy enables (apply_policy over the dead-cache marks) the first
-time a query runs under that policy.  Each query builds only what
-depends on it: the cache tables, one assignment list and its counters.
-A cache table is one array('d') with a cell per instantiation of the
-context variables the evidence leaves open, 8 bytes a cell, and +inf
-(EMPTY) in the cells not yet filled; a context the evidence fixes has
-one cell.  Its (variable, stride) pairs are the plan's up to the first
-observed variable and are recomputed past it, in one pass per query.  Leaves and
-cache hits are answered in one function and the cutset loop runs in
-another; the recursion takes two Python frames per dtree level, and a
-deep dtree raises the recursion limit for the query alone.
+as a sorted tuple, and each node's key as its parent sees it.  A key
+indexes a live cache by its context, or a tabular leaf's CPT entries by
+its family, and is split in two: the variables outside the parent's
+cutset, with their strides, and one stride per position of the parent's
+cutset.  Log-domain leaf tables are added the first time a log-domain
+query needs them, and the caches a cache policy enables (apply_policy
+over the dead-cache marks) the first time a query runs under that
+policy.
 
-With a knowledge base attached, the cutset loop becomes an odometer
-walk in the same order, in the same Python frame: each open variable's
-state is asserted once per instantiation of the open variables before
-it, under its own checkpoint, and retracted when the walk moves past
-it.  A contradiction proves the branch carries zero probability; a
-state the KB's current domain already excludes is not asserted at all.
-Either way the walk skips it together with every instantiation of the
-variables after it, and counts each of those as a KB skip.  A state the
-domain already implies is assigned without an assertion, and so is any
-state of a variable no clause mentions, in the walk and in the evidence
-alike, so a KB without clauses is never asked.  Only assigned
-evidence and cutset values are visible to leaf lookups; KB-implied
-values never are, which keeps the unobserved-leaf sum-to-1 shortcut
-exact.
+Each query builds only what depends on it: the cache tables, one
+assignment list, its counters, and copies of the keys and cutsets its
+evidence changes.  A cache table is one array('d') with a cell per
+instantiation of the context variables the evidence leaves open, 8
+bytes a cell, and +inf (EMPTY) in the cells not yet filled; a context
+the evidence fixes has one cell.  A cutset's observed variables leave
+its loop, and their strides move into the fixed part of a leaf's key or
+out of a cache's key.
+
+One odometer walks each open cutset, the last variable fastest.  At
+each expansion it sums the fixed part of both children's keys once, and
+adds a level's stride to a key each time that level's state moves.
+Cache hits and misses, tabular leaves and leaves that sum to one are
+answered inside the walk; only noisy-or leaves and uncached internal
+children are called, so the recursion takes one Python frame per dtree
+level, and a deep dtree raises the recursion limit for the query alone.
+
+With a knowledge base attached, each open variable's state is asserted
+once per instantiation of the open variables before it, under its own
+checkpoint, and retracted when the walk moves past it.  A contradiction
+proves the branch carries zero probability; a state the KB's current
+domain already excludes is not asserted at all.  Either way the walk
+skips it together with every instantiation of the variables after it,
+and counts each of those as a KB skip.  A state the domain already
+implies is assigned without an assertion, and so is any state of a
+variable no clause mentions, in the walk and in the evidence alike, so
+a KB without clauses, or no KB, is never asked.  Only assigned evidence
+and cutset values are visible to leaf lookups; KB-implied values never
+are, which keeps the unobserved-leaf sum-to-1 shortcut exact.
 """
 
 from __future__ import annotations
@@ -207,30 +215,36 @@ def lookup(network: Network, leaf: DtreeNode, assign: list[int],
     return p
 
 
-def _context_strides(variables, cards) -> tuple[tuple[int, int], ...]:
-    """(var, stride) pairs under the ascending-id, last-fastest convention."""
-    strides = []
+def _strides(variables, cards) -> tuple[dict[int, int], int]:
+    """Each variable's stride under the ascending-id, last-fastest convention,
+    and the number of instantiations."""
+    strides = {}
     stride = 1
     for v in sorted(variables, reverse=True):
-        strides.append((v, stride))
+        strides[v] = stride
         stride *= cards[v]
-    return tuple(strides)
+    return strides, stride
 
 
 class QueryPlan:
     """An annotated dtree lowered for one network into lists indexed by node id.
 
     Leaves have left == right == -1; internal nodes have leaf_var == -1.
-    A tabular leaf reads entries[assign[var] + sum(assign[p] * stride)]
-    over its leaf_terms; a noisy-or leaf has no table and asks its CPT.
-    Queries never change a plan, except that the first log-domain query
-    fills in log_tables and the first query under each cache policy
-    records the caches it enables.
+    keys[c] is node c's key as its parent p sees it, a triple: the key's
+    variables outside p's cutset, their strides, and one stride per
+    position of p's cutset.  The key of a live cache covers its context,
+    and that of a tabular leaf the index of its family's entry in the
+    CPT; both hold every variable of p's cutset.  A dead cache and a
+    noisy-or leaf, which nothing indexes, have no variables and stride 0
+    at every position.  lone lists the tabular leaves whose variable is
+    in no other family.  Queries never change a plan, except that the
+    first log-domain query fills in log_tables and the first query under
+    each cache policy records the caches it enables.
     """
 
     __slots__ = (
-        "network", "root", "left", "right", "cutset", "context",
-        "leaf_var", "leaf_terms", "tables", "log_tables", "height", "enabled",
+        "network", "root", "left", "right", "cutset", "keys", "leaf_var",
+        "lone", "tables", "log_tables", "height", "enabled",
     )
 
     def __init__(self, root: DtreeNode, network: Network):
@@ -242,38 +256,51 @@ class QueryPlan:
         self.left = [-1] * n
         self.right = [-1] * n
         self.cutset: list[tuple[int, ...]] = [()] * n
-        self.context: list[tuple[tuple[int, int], ...]] = [()] * n
+        self.keys: list[tuple[tuple[int, ...], ...]] = [((), (), ())] * n
         self.leaf_var = [-1] * n
-        self.leaf_terms: list[tuple[tuple[int, int], ...]] = [()] * n
         self.tables: list[tuple[float, ...] | None] = [None] * n
         self.log_tables: list[tuple[float, ...] | None] | None = None
         # per cache policy, the ids of the nodes whose cache it enables
         self.enabled: dict[CachePolicy, tuple[int, ...]] = {}
-        for node in nodes:
+        lone = []
+        shared: dict[tuple, tuple] = {}  # one object per distinct key tuple
+        for node in nodes:  # preorder: a parent's cutset is lowered before its children
             i = node.id
-            self.context[i] = _context_strides(node.context, cards)
+            key: dict[int, int] = {}
             if not node.is_leaf:
                 self.left[i] = node.left.id
                 self.right[i] = node.right.id
                 self.cutset[i] = tuple(sorted(node.cutset))
+                if node.cache_state == LIVE:
+                    key = _strides(node.context, cards)[0]
+            else:
+                cpt = network.cpts[node.var]
+                for p in cpt.parents:
+                    if p not in node.context:
+                        raise RuntimeError(
+                            f"parent {network.variables[p].name!r} of "
+                            f"{network.variables[node.var].name!r} is not in its leaf's "
+                            f"context, so it may be unassigned at lookup; malformed dtree"
+                        )
+                self.leaf_var[i] = node.var
+                if isinstance(cpt, TabularCpt):
+                    key[node.var] = 1
+                    stride = cpt.child_card
+                    for p in reversed(cpt.parents):
+                        key[p] = stride
+                        stride *= cards[p]
+                    self.tables[i] = cpt.entries
+                    if node.var not in node.context:
+                        lone.append(i)
+            if node.parent is None:
                 continue
-            cpt = network.cpts[node.var]
-            for p in cpt.parents:
-                if p not in node.context:
-                    raise RuntimeError(
-                        f"parent {network.variables[p].name!r} of "
-                        f"{network.variables[node.var].name!r} is not in its leaf's "
-                        f"context, so it may be unassigned at lookup; malformed dtree"
-                    )
-            self.leaf_var[i] = node.var
-            if isinstance(cpt, TabularCpt):
-                terms = []
-                stride = cpt.child_card
-                for p in reversed(cpt.parents):
-                    terms.append((p, stride))
-                    stride *= cards[p]
-                self.leaf_terms[i] = tuple(terms)
-                self.tables[i] = cpt.entries
+            cut = self.cutset[node.parent.id]
+            fixed = [v for v in key if v not in cut]
+            parts = (tuple(fixed), tuple([key[v] for v in fixed]),
+                     tuple([key.get(u, 0) for u in cut]))
+            split = tuple([shared.setdefault(part, part) for part in parts])
+            self.keys[i] = shared.setdefault(split, split)
+        self.lone = tuple(lone)
         self.height = dtree_stats(root).height
 
     def log_domain_tables(self) -> list[tuple[float, ...] | None]:
@@ -313,168 +340,218 @@ def _enabled_caches(plan: QueryPlan, root: DtreeNode, policy: CachePolicy) -> tu
     return enabled
 
 
-def _open_caches(plan: QueryPlan, enabled: tuple[int, ...],
-                 evidence: list[int]) -> tuple[list[array | None], list]:
-    """One table per enabled cache, over the context variables the evidence
-    leaves open, and the (variable, stride) pairs that index it.
+# the value source of a leaf whose unobserved variable is in no other family
+# (it sums to one), and the mark of a cache whose table is still to be made
+_ONE = (1.0,)
+_LOG_ONE = (0.0,)
+_OPEN = object()
 
-    A table has a cell per open-context instantiation, all EMPTY; a
-    context the evidence fixes entirely gets one cell.  A context with no
-    observed variable keeps the plan's pairs, and so does every pair whose
-    stride the projection leaves unchanged.
+
+def _open_query(plan: QueryPlan, enabled: tuple[int, ...], evidence: list[int],
+                log_domain: bool) -> tuple[list, list, list]:
+    """What one query adds to its plan: per node, the source, key and open
+    cutset that _run_plan reads.
+
+    A node's source is what its parent reads its value from: a cache
+    table, its CPT entries, a one-cell table for a leaf that sums to one,
+    or None when the parent must call out (a noisy-or leaf, an uncached
+    internal node).  A cache table is an array('d') with a cell per
+    instantiation of the context variables the evidence leaves open, all
+    EMPTY.  The plan's keys and cutsets are copied on their first change:
+    a cutset drops its observed variables, its children's keys drop their
+    strides at those positions (a leaf moves them into its fixed part),
+    and a cache whose context holds evidence is keyed over its open
+    variables alone (an observed one keeps its place with stride 0).
     """
     cards = plan.network.cards
-    caches: list[array | None] = [None] * len(plan.left)
-    contexts = plan.context  # copied on the first context that changes
+    left, right = plan.left, plan.right
+    sources = list(plan.log_domain_tables() if log_domain else plan.tables)
+    one = _LOG_ONE if log_domain else _ONE
+    for t in plan.lone:
+        if evidence[plan.leaf_var[t]] < 0:
+            sources[t] = one
     for t in enabled:
-        pairs = plan.context[t]
-        open_pairs = []
-        cells = 1
-        for pair in pairs:  # ascending stride
-            v = pair[0]
-            if evidence[v] < 0:
-                open_pairs.append(pair if pair[1] == cells else (v, cells))
-                cells *= cards[v]
-        if len(open_pairs) < len(pairs):
-            if contexts is plan.context:
-                contexts = list(contexts)
-            contexts[t] = tuple(open_pairs)
-        caches[t] = array("d", [EMPTY]) * cells
-    return caches, contexts
+        sources[t] = _OPEN
+    keys, cuts = plan.keys, plan.cutset  # each copied on its first change
+    for t, cut in enumerate(plan.cutset):
+        if left[t] < 0:
+            continue
+        open_cut = cut
+        for u in cut:
+            if evidence[u] >= 0:
+                open_cut = tuple([v for v in cut if evidence[v] < 0])
+                if cuts is plan.cutset:
+                    cuts = list(cuts)
+                cuts[t] = open_cut
+                break
+        for c in (left[t], right[t]):
+            source = sources[c]
+            if source is _OPEN:  # a cache, whose context holds all of cut
+                fixed = plan.keys[c][0]
+                if open_cut is cut and all(evidence[v] < 0 for v in fixed):
+                    key = None
+                    cells = math.prod([cards[v] for v in fixed + cut])
+                else:  # observed variables keep their place in fixed, with stride 0
+                    open_context = [v for v in fixed if evidence[v] < 0] + list(open_cut)
+                    table, cells = _strides(open_context, cards)
+                    key = (fixed, tuple([table.get(v, 0) for v in fixed]),
+                           tuple([table[u] for u in open_cut]))
+                sources[c] = array("d", [EMPTY]) * cells
+            elif source is one:
+                key = ((), (), (0,) * len(open_cut))
+            elif open_cut is not cut:
+                fixed, strides, steps = plan.keys[c]
+                moved = [i for i, u in enumerate(cut) if evidence[u] >= 0 and steps[i]]
+                key = (fixed + tuple([cut[i] for i in moved]),
+                       strides + tuple([steps[i] for i in moved]),
+                       tuple([steps[i] for i, u in enumerate(cut) if evidence[u] < 0]))
+            else:
+                continue
+            if key is not None:
+                if keys is plan.keys:
+                    keys = list(keys)
+                keys[c] = key
+    return sources, keys, cuts
 
 
-def _run_plan(plan: QueryPlan, caches: list, contexts: list, assign: list[int],
+def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: list[int],
               kb: KnowledgeBase | None, log_domain: bool) -> tuple[float, int, int, int]:
-    """Value of the plan's root under `assign`, with the hits, the cutset
-    instantiations evaluated and the KB skips.  A cached node t keys its
-    table by contexts[t].  `assign` is back to its entry state on return."""
-    left, right, cutset = plan.left, plan.right, plan.cutset
-    leaf_var, leaf_terms = plan.leaf_var, plan.leaf_terms
-    tables = plan.log_domain_tables() if log_domain else plan.tables
+    """Value of the plan's root under `assign`, with the cache lookups,
+    the cutset instantiations evaluated and the KB skips, over a query's
+    sources, keys and open cutsets (_open_query).  `assign` is back to its
+    entry state on return."""
+    left, right, leaf_var = plan.left, plan.right, plan.leaf_var
     cpts = plan.network.cpts
-    states = [range(c) for c in plan.network.cards]
-    walk = None if kb is None else (
-        kb.cards, kb.domain, kb.mentioned, kb.positive,
-        kb.checkpoint, kb.assert_literal, kb.retract_to,
-    )
+    cards = plan.network.cards
+    if kb is None:
+        mentioned = bytes(plan.network.n)  # no variable: the KB is never asked
+        domain = positive = checkpoint = assert_literal = retract_to = None
+    else:
+        domain, mentioned, positive = kb.domain, kb.mentioned, kb.positive
+        checkpoint, assert_literal, retract_to = kb.checkpoint, kb.assert_literal, kb.retract_to
     one = 0.0 if log_domain else 1.0
     empty = EMPTY
-    hits = evaluated = skips = 0
+    lookups = evaluated = skips = 0
 
-    def value(t: int) -> float:
-        nonlocal hits
+    def leaf(t: int) -> float:
+        """A leaf's value from its CPT: noisy-or leaves and a leaf root."""
         var = leaf_var[t]
-        if var >= 0:
-            x = assign[var]
-            if x < 0:
-                return one
-            table = tables[t]
-            if table is None:
-                cpt = cpts[var]
-                p = cpt.prob(x, [assign[q] for q in cpt.parents])
-                if log_domain:
-                    return math.log(p) if p > 0.0 else LOG_ZERO
-                return p
-            for q, stride in leaf_terms[t]:
-                x += assign[q] * stride
-            return table[x]
-        cache = caches[t]
-        if cache is None:
-            return expand(t)
-        key = 0
-        for v, stride in contexts[t]:
-            key += assign[v] * stride
-        result = cache[key]
-        if result == empty:
-            result = cache[key] = expand(t)
-        else:
-            hits += 1
-        return result
+        x = assign[var]
+        if x < 0:
+            return one
+        cpt = cpts[var]
+        p = cpt.prob(x, [assign[q] for q in cpt.parents])
+        if log_domain:
+            return math.log(p) if p > 0.0 else LOG_ZERO
+        return p
 
     def expand(t: int) -> float:
-        nonlocal evaluated, skips
+        """Sum over the open cutset of t of its children's product."""
+        nonlocal lookups, evaluated, skips
         l, r = left[t], right[t]
-        open_vars = [v for v in cutset[t] if assign[v] < 0]
-        if not open_vars:
-            evaluated += 1
-            return value(l) + value(r) if log_domain else value(l) * value(r)
+        lsource, rsource = sources[l], sources[r]
+        fixed, strides, lstep = keys[l]
+        kl = 0
+        if lsource is None:
+            lcall = expand if leaf_var[l] < 0 else leaf
+        else:
+            for v, stride in zip(fixed, strides):
+                kl += assign[v] * stride
+        fixed, strides, rstep = keys[r]
+        kr = 0
+        if rsource is None:
+            rcall = expand if leaf_var[r] < 0 else leaf
+        else:
+            for v, stride in zip(fixed, strides):
+                kr += assign[v] * stride
+        # An odometer over the open cutset, the last variable fastest: level
+        # i holds open_vars[i] and, while a state of it is assigned, the
+        # checkpoint from which that state was asserted (-1 when nothing
+        # was).  kl and kr are the children's keys at the current states.
+        # A state the KB's domain excludes is skipped along with every
+        # instantiation of the levels below it; a state the domain implies,
+        # or any state of a variable no clause mentions, is assigned
+        # without asking the KB.
+        open_vars = cuts[t]
+        k = len(open_vars)
+        last = k - 1
+        tokens = [-1] * last
         terms: list[float] = []
         total = 0.0
-        if walk is None:
-            # the last open variable varies fastest, in the innermost loop
-            *outer, last = open_vars
-            for prefix in itertools.product(*[states[v] for v in outer]):
-                for v, s in zip(outer, prefix):
-                    assign[v] = s
-                for s in states[last]:
-                    assign[last] = s
-                    evaluated += 1
-                    if log_domain:
-                        terms.append(value(l) + value(r))
-                    else:
-                        total += value(l) * value(r)
-            for v in open_vars:
-                assign[v] = UNASSIGNED
-            return _log_sum(terms) if log_domain else total
-        # An odometer over the same order: level i holds open_vars[i] and,
-        # while a state of it is assigned, the checkpoint from which that
-        # state was asserted (-1 when nothing was asserted).  A state the
-        # KB's domain excludes is skipped along with every instantiation of
-        # the levels below it; a state the domain implies, or any state of a
-        # variable no clause mentions, is assigned without asking the KB.
-        cards, domain, mentioned, positive, checkpoint, assert_literal, retract_to = walk
-        k = len(open_vars)
-        below = [1] * k  # instantiations of the levels under each level
-        for i in range(k - 1, 0, -1):
-            below[i - 1] = below[i] * cards[open_vars[i]]
-        tokens = [-1] * k
-        i = s = 0
+        n = i = s = 0
+        token = -1
         while True:
-            v = open_vars[i]
-            if s == cards[v]:
-                assign[v] = UNASSIGNED
-                if i == 0:
-                    break
-                i -= 1
-                if tokens[i] >= 0:
-                    retract_to(tokens[i])
-                s = assign[open_vars[i]] + 1
-                continue
-            token = -1
-            if mentioned[v]:
-                bit = 1 << s
-                d = domain[v]
-                if not d & bit:
-                    skips += below[i]
-                    s += 1
+            if k:
+                v = open_vars[i]
+                if s == cards[v]:
+                    assign[v] = UNASSIGNED
+                    kl -= s * lstep[i]
+                    kr -= s * rstep[i]
+                    if i == 0:
+                        break
+                    i -= 1
+                    if tokens[i] >= 0:
+                        retract_to(tokens[i])
+                    s = assign[open_vars[i]] + 1
+                    kl += lstep[i]
+                    kr += rstep[i]
                     continue
-                if d != bit:
-                    token = checkpoint()
-                    if not assert_literal(positive[v][s]):
-                        retract_to(token)
-                        skips += below[i]
+                token = -1
+                if mentioned[v]:
+                    bit = 1 << s
+                    d = domain[v]
+                    if d & bit and d != bit:
+                        token = checkpoint()
+                        if not assert_literal(positive[v][s]):
+                            retract_to(token)
+                            d = 0  # refuted
+                    if not d & bit:
+                        skips += 1 if i == last else math.prod(
+                            [cards[u] for u in open_vars[i + 1:]])
                         s += 1
+                        kl += lstep[i]
+                        kr += rstep[i]
                         continue
-            assign[v] = s
-            if i < k - 1:
-                tokens[i] = token
-                i += 1
-                s = 0
-                continue
-            evaluated += 1
-            if log_domain:
-                terms.append(value(l) + value(r))
+                assign[v] = s
+                if i < last:
+                    tokens[i] = token
+                    i += 1
+                    s = 0
+                    continue
+            n += 1
+            if lsource is None:
+                a = lcall(l)
             else:
-                total += value(l) * value(r)
+                a = lsource[kl]
+                if a == empty:
+                    a = lsource[kl] = expand(l)
+            if rsource is None:
+                b = rcall(r)
+            else:
+                b = rsource[kr]
+                if b == empty:
+                    b = rsource[kr] = expand(r)
+            if log_domain:
+                terms.append(a + b)
+            else:
+                total += a * b
+            if not k:
+                break
             if token >= 0:
                 retract_to(token)
             s += 1
+            kl += lstep[i]
+            kr += rstep[i]
+        evaluated += n
+        lookups += n * ((type(lsource) is array) + (type(rsource) is array))
         return _log_sum(terms) if log_domain else total
 
     try:
-        return value(plan.root), hits, evaluated, skips
+        root = plan.root
+        value = leaf(root) if leaf_var[root] >= 0 else expand(root)
+        return value, lookups, evaluated, skips
     finally:
-        value = expand = None  # the two closures refer to each other: break the cycle
+        expand = None  # expand refers to itself: break the cycle
 
 
 def rc_query(
@@ -502,8 +579,9 @@ def rc_query(
     assign = list(expected)
 
     kb_token = kb.checkpoint() if kb is not None else None
-    # value() and expand() take two frames per dtree level
-    with recursion_room(2 * plan.height):
+    # expand() takes one frame per dtree level: hits, tabular leaves and the
+    # lookup around a miss stay in the parent's frame
+    with recursion_room(plan.height):
         try:
             if kb is not None:
                 for var, state in sorted(evidence.items()):
@@ -522,9 +600,9 @@ def rc_query(
                             log_value=LOG_ZERO if log_domain else None,
                         )
             enabled = _enabled_caches(plan, root, policy or CachePolicy.full())
-            caches, contexts = _open_caches(plan, enabled, expected)
-            value, hits, evaluated, skips = _run_plan(
-                plan, caches, contexts, assign, kb, log_domain)
+            sources, keys, cuts = _open_query(plan, enabled, expected, log_domain)
+            value, lookups, evaluated, skips = _run_plan(
+                plan, sources, keys, cuts, assign, kb, log_domain)
         finally:
             if kb_token is not None:
                 kb.retract_to(kb_token)
@@ -535,15 +613,15 @@ def rc_query(
     if not log_domain and value < LINEAR_FLOOR:
         return rc_query(network, root, evidence, policy, kb, log_domain=True)
 
-    # every miss fills exactly one cell
+    # every miss fills exactly one cell, and every other lookup is a hit
     per_node_misses = {}
     cells = 0
-    for node_id, cache in enumerate(caches):
-        if cache is not None:
-            cells += len(cache)
-            filled = len(cache) - cache.count(EMPTY)
-            if filled:
-                per_node_misses[node_id] = filled
+    for node_id in enabled:
+        cache = sources[node_id]
+        cells += len(cache)
+        filled = len(cache) - cache.count(EMPTY)
+        if filled:
+            per_node_misses[node_id] = filled
     misses = sum(per_node_misses.values())
 
     if log_domain:
@@ -555,7 +633,7 @@ def rc_query(
     return QueryResult(
         probability=probability,
         rc_calls=1 + 2 * evaluated,
-        cache_hits=hits,
+        cache_hits=lookups - misses,
         cache_misses=misses,
         entries_written=misses,
         cache_cells=cells,

@@ -165,57 +165,53 @@ class Network:
         return f"Network({self.n} variables)"
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise NetworkFormatError(msg)
-
-
 def _parse_variables(doc: dict) -> list[Variable]:
     raw = doc.get("variables")
-    _require(isinstance(raw, list) and raw, "document must declare a non-empty 'variables' list")
+    if not (isinstance(raw, list) and raw):
+        raise NetworkFormatError("document must declare a non-empty 'variables' list")
     variables = []
     seen = set()
     for i, entry in enumerate(raw):
-        _require(isinstance(entry, dict), f"variable #{i} is not an object")
+        if not isinstance(entry, dict):
+            raise NetworkFormatError(f"variable #{i} is not an object")
         name = entry.get("name")
-        _require(isinstance(name, str) and name, f"variable #{i} needs a non-empty name")
-        _require(name not in seen, f"duplicate variable name {name!r}")
+        if not (isinstance(name, str) and name):
+            raise NetworkFormatError(f"variable #{i} needs a non-empty name")
+        if name in seen:
+            raise NetworkFormatError(f"duplicate variable name {name!r}")
         seen.add(name)
         states = entry.get("states")
-        _require(
-            isinstance(states, list) and states and all(isinstance(s, str) for s in states),
-            f"variable {name!r} needs a non-empty list of state labels",
-        )
-        _require(len(set(states)) == len(states), f"variable {name!r} has duplicate state labels")
+        if not (isinstance(states, list) and states and all(isinstance(s, str) for s in states)):
+            raise NetworkFormatError(f"variable {name!r} needs a non-empty list of state labels")
+        if len(set(states)) != len(states):
+            raise NetworkFormatError(f"variable {name!r} has duplicate state labels")
         variables.append(Variable(id=i, name=name, states=tuple(states)))
     return variables
 
 
 def _parse_table_cpt(entry: dict, child: Variable, parents: list[Variable]) -> TabularCpt:
     table = entry.get("table")
-    _require(isinstance(table, list), f"CPT for {child.name!r}: 'table' must be a list")
+    if not isinstance(table, list):
+        raise NetworkFormatError(f"CPT for {child.name!r}: 'table' must be a list")
     n_rows = math.prod(p.cardinality for p in parents)
     expected = n_rows * child.cardinality
-    _require(
-        len(table) == expected,
-        f"CPT for {child.name!r}: expected {expected} entries, got {len(table)}",
-    )
+    if len(table) != expected:
+        raise NetworkFormatError(
+            f"CPT for {child.name!r}: expected {expected} entries, got {len(table)}"
+        )
     entries = []
     for x in table:
-        _require(
-            isinstance(x, (int, float)) and not isinstance(x, bool),
-            f"CPT for {child.name!r}: non-numeric entry {x!r}",
-        )
+        if not (isinstance(x, (int, float)) and not isinstance(x, bool)):
+            raise NetworkFormatError(f"CPT for {child.name!r}: non-numeric entry {x!r}")
         x = float(x)
-        _require(0.0 <= x <= 1.0, f"CPT for {child.name!r}: entry {x!r} outside [0,1]")
+        if not 0.0 <= x <= 1.0:
+            raise NetworkFormatError(f"CPT for {child.name!r}: entry {x!r} outside [0,1]")
         entries.append(x)
     card = child.cardinality
     for row in range(n_rows):
         s = sum(entries[row * card : (row + 1) * card])
-        _require(
-            abs(s - 1.0) <= ROW_SUM_TOL,
-            f"CPT for {child.name!r}: row {row} sums to {s!r}, not 1",
-        )
+        if not abs(s - 1.0) <= ROW_SUM_TOL:
+            raise NetworkFormatError(f"CPT for {child.name!r}: row {row} sums to {s!r}, not 1")
     return TabularCpt(
         child=child.id,
         parents=tuple(p.id for p in parents),
@@ -226,39 +222,37 @@ def _parse_table_cpt(entry: dict, child: Variable, parents: list[Variable]) -> T
 
 
 def _parse_noisy_or_cpt(entry: dict, child: Variable, parents: list[Variable]) -> NoisyOrCpt:
-    _require(
-        child.cardinality == 2,
-        f"noisy-or child {child.name!r} must be binary, has {child.cardinality} states",
-    )
+    if child.cardinality != 2:
+        raise NetworkFormatError(
+            f"noisy-or child {child.name!r} must be binary, has {child.cardinality} states"
+        )
     trigger = entry.get("trigger")
     inhibitor = entry.get("inhibitor")
-    _require(
-        isinstance(trigger, list) and len(trigger) == len(parents),
-        f"noisy-or CPT for {child.name!r}: 'trigger' must list one state per parent",
-    )
-    _require(
-        isinstance(inhibitor, list) and len(inhibitor) == len(parents),
-        f"noisy-or CPT for {child.name!r}: 'inhibitor' must list one probability per parent",
-    )
+    if not (isinstance(trigger, list) and len(trigger) == len(parents)):
+        raise NetworkFormatError(
+            f"noisy-or CPT for {child.name!r}: 'trigger' must list one state per parent"
+        )
+    if not (isinstance(inhibitor, list) and len(inhibitor) == len(parents)):
+        raise NetworkFormatError(
+            f"noisy-or CPT for {child.name!r}: 'inhibitor' must list one probability per parent"
+        )
     trig_idx = []
     for label, p in zip(trigger, parents):
-        _require(
-            isinstance(label, str) and label in p.states,
-            f"noisy-or CPT for {child.name!r}: {label!r} is not a state of {p.name!r}",
-        )
+        if not (isinstance(label, str) and label in p.states):
+            raise NetworkFormatError(
+                f"noisy-or CPT for {child.name!r}: {label!r} is not a state of {p.name!r}"
+            )
         trig_idx.append(p.states.index(label))
     inh = []
     for q in inhibitor:
-        _require(
-            isinstance(q, (int, float)) and not isinstance(q, bool) and 0.0 <= q <= 1.0,
-            f"noisy-or CPT for {child.name!r}: inhibitor {q!r} outside [0,1]",
-        )
+        if not (isinstance(q, (int, float)) and not isinstance(q, bool) and 0.0 <= q <= 1.0):
+            raise NetworkFormatError(
+                f"noisy-or CPT for {child.name!r}: inhibitor {q!r} outside [0,1]"
+            )
         inh.append(float(q))
     leak = entry.get("leak", 0.0)
-    _require(
-        isinstance(leak, (int, float)) and not isinstance(leak, bool) and 0.0 <= leak <= 1.0,
-        f"noisy-or CPT for {child.name!r}: leak {leak!r} outside [0,1]",
-    )
+    if not (isinstance(leak, (int, float)) and not isinstance(leak, bool) and 0.0 <= leak <= 1.0):
+        raise NetworkFormatError(f"noisy-or CPT for {child.name!r}: leak {leak!r} outside [0,1]")
     return NoisyOrCpt(
         child=child.id,
         parents=tuple(p.id for p in parents),
@@ -297,30 +291,36 @@ def parse_network(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"malformed network document: {exc}") from None
-    _require(isinstance(doc, dict), "network document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("network document must be a JSON object")
     variables = _parse_variables(doc)
     by_name = {v.name: v for v in variables}
 
     raw_cpts = doc.get("cpts")
-    _require(isinstance(raw_cpts, list), "document must declare a 'cpts' list")
+    if not isinstance(raw_cpts, list):
+        raise NetworkFormatError("document must declare a 'cpts' list")
     cpt_by_child: dict[int, Cpt] = {}
     for i, entry in enumerate(raw_cpts):
-        _require(isinstance(entry, dict), f"CPT #{i} is not an object")
+        if not isinstance(entry, dict):
+            raise NetworkFormatError(f"CPT #{i} is not an object")
         child_name = entry.get("child")
-        _require(child_name in by_name, f"CPT #{i}: unknown child {child_name!r}")
+        if child_name not in by_name:
+            raise NetworkFormatError(f"CPT #{i}: unknown child {child_name!r}")
         child = by_name[child_name]
-        _require(child.id not in cpt_by_child, f"duplicate CPT for {child_name!r}")
+        if child.id in cpt_by_child:
+            raise NetworkFormatError(f"duplicate CPT for {child_name!r}")
         raw_parents = entry.get("parents", [])
-        _require(isinstance(raw_parents, list), f"CPT for {child_name!r}: 'parents' must be a list")
+        if not isinstance(raw_parents, list):
+            raise NetworkFormatError(f"CPT for {child_name!r}: 'parents' must be a list")
         parents = []
         for pname in raw_parents:
-            _require(pname in by_name, f"CPT for {child_name!r}: unknown parent name {pname!r}")
-            _require(pname != child_name, f"CPT for {child_name!r}: variable cannot parent itself")
+            if pname not in by_name:
+                raise NetworkFormatError(f"CPT for {child_name!r}: unknown parent name {pname!r}")
+            if pname == child_name:
+                raise NetworkFormatError(f"CPT for {child_name!r}: variable cannot parent itself")
             parents.append(by_name[pname])
-        _require(
-            len({p.id for p in parents}) == len(parents),
-            f"CPT for {child_name!r}: duplicate parent",
-        )
+        if len({p.id for p in parents}) != len(parents):
+            raise NetworkFormatError(f"CPT for {child_name!r}: duplicate parent")
         kind = entry.get("kind", "table")
         if kind == "table":
             cpt: Cpt = _parse_table_cpt(entry, child, parents)
@@ -331,7 +331,8 @@ def parse_network(text: str) -> Network:
         cpt_by_child[child.id] = cpt
 
     missing = [v.name for v in variables if v.id not in cpt_by_child]
-    _require(not missing, f"variables without a CPT: {missing}")
+    if missing:
+        raise NetworkFormatError(f"variables without a CPT: {missing}")
     cpts = [cpt_by_child[v.id] for v in variables]
     _check_acyclic(variables, cpts)
     return Network(variables, cpts)
@@ -366,15 +367,15 @@ def parse_evidence(text: str, network: Network) -> dict[int, int]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"malformed evidence document: {exc}") from None
-    _require(isinstance(doc, dict), "evidence document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("evidence document must be a JSON object")
     evidence = {}
     for name, label in doc.items():
         var = network.variables[network.var_id(name)]
-        _require(isinstance(label, str), f"evidence for {name!r} must be a state label string")
-        _require(
-            label in var.states,
-            f"evidence: {label!r} is not a state of {name!r}",
-        )
+        if not isinstance(label, str):
+            raise NetworkFormatError(f"evidence for {name!r} must be a state label string")
+        if label not in var.states:
+            raise NetworkFormatError(f"evidence: {label!r} is not a state of {name!r}")
         evidence[var.id] = var.states.index(label)
     return evidence
 

@@ -99,6 +99,17 @@ def right_linear_shape(n: int):
     return shape
 
 
+def random_shape(rng: random.Random, network: Network):
+    """A random dtree shape over the network's families: two random trees
+    are joined until one is left."""
+    trees: list = [v.name for v in network.variables]
+    while len(trees) > 1:
+        left = trees.pop(rng.randrange(len(trees)))
+        right = trees.pop(rng.randrange(len(trees)))
+        trees.append([left, right])
+    return trees[0]
+
+
 def _binary_rows(rng, rows: int) -> list[float]:
     table: list[float] = []
     for _ in range(rows):

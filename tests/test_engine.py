@@ -25,7 +25,7 @@ from rcnet import (
     rc_query,
 )
 from rcnet.dtree import DISABLED, LIVE, iter_nodes
-from rcnet.engine import LOG_ZERO, UNASSIGNED
+from rcnet.engine import LOG_ZERO, UNASSIGNED, QueryPlan
 from rcnet.randnet import random_evidence, random_network
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     chain_network,
     gate_network,
     grid_network,
+    random_shape,
     right_linear_shape,
     spine_chain_doc,
     star_network,
@@ -537,6 +538,51 @@ def test_work_counters_pinned(seed, policy, use_kb, log_domain, work):
     assert rel_err(res.probability, expected) <= (1e-9 if log_domain else 1e-12)
 
 
+# (seed, policy, kb, log_domain, (rc_calls, hits, misses, written, kb_skips))
+# on random dtree shapes, which min-fill never builds; recorded with the engine
+# that keyed each cache by its whole context.  Every network has a noisy-or
+# CPT, a deterministic CPT and a cardinality-1 variable, and its evidence
+# falls on a cutset; under full and budget policies also on an enabled
+# cache's context.  Each has a leaf whose variable is in no other family,
+# unobserved, and in most cases another that is observed.
+RANDOM_SHAPE_WORK = [
+    (7057, "full", False, False, (113, 18, 18, 18, 0)),
+    (7118, "full", False, True, (101, 6, 18, 18, 0)),
+    (7233, "full", True, False, (85, 5, 6, 6, 16)),
+    (7355, "full", True, True, (77, 7, 22, 22, 36)),
+    (7410, "none", False, False, (81, 0, 0, 0, 0)),
+    (7522, "none", False, True, (161, 0, 0, 0, 0)),
+    (7616, "none", True, False, (51, 0, 0, 0, 9)),
+    (7718, "none", True, True, (81, 0, 0, 0, 5)),
+    (7811, "budget:26", False, False, (241, 24, 8, 8, 0)),
+    (7911, "budget:33", False, True, (157, 21, 12, 12, 0)),
+    (8007, "budget:90", True, False, (47, 3, 7, 7, 24)),
+    (8135, "budget:31", True, True, (89, 10, 8, 8, 30)),
+]
+
+
+def random_shape_case(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_vars=10, max_states=3, determinism=0.4,
+                         noisy_or_prob=0.3, max_joint=20000)
+    evidence = random_evidence(rng, net, p_observe=0.35)
+    root = dtree_from_shape(net, random_shape(rng, net))
+    annotate(root)
+    mark_dead_caches(root)
+    return net, root, evidence
+
+
+@pytest.mark.parametrize("seed,policy,use_kb,log_domain,work", RANDOM_SHAPE_WORK)
+def test_work_counters_pinned_on_random_shapes(seed, policy, use_kb, log_domain, work):
+    net, root, evidence = random_shape_case(seed)
+    res = rc_query(net, root, evidence, policy=CachePolicy.parse(policy),
+                   kb=compile_kb(net) if use_kb else None, log_domain=log_domain)
+    got = (res.rc_calls, res.cache_hits, res.cache_misses, res.entries_written, res.kb_skips)
+    assert got == work
+    expected = brute_force_probability(net, evidence)
+    assert rel_err(res.probability, expected) <= (1e-9 if log_domain else 1e-12)
+
+
 def test_deep_dtree_query_restores_recursion_limit():
     n = 1199
     doc = spine_chain_doc(n, seed=12)
@@ -598,6 +644,27 @@ def test_query_peak_memory_is_below_half_of_list_caches():
     assert res.probability == expected.probability
     assert res.cache_misses == 1776
     assert peak < LIST_CACHE_PEAK / 2
+
+
+# Python heap held by the QueryPlan of the dtree below, in bytes, when the plan
+# kept each node's context and each leaf's CPT index as (variable, stride) pairs
+PAIRS_PLAN_BYTES = 73_928
+
+
+def test_plan_keys_take_less_memory_than_pairs():
+    net = grid_network(9, seed=1)
+    root = prepare_dtree(net)
+    QueryPlan(root, net)  # first-use allocations outside the window
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = QueryPlan(root, net)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.75 * PAIRS_PLAN_BYTES
+    assert plan.height == dtree_stats(root).height  # measured while alive
 
 
 def test_plan_is_lowered_once_per_dtree_and_network(chain):

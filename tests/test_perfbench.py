@@ -2,7 +2,7 @@
 
 The traced round of perfbench/run.py wraps rcnet.engine.lookup and
 subclasses the knowledge base to time each layer, so an engine change
-can break it without failing any other test.
+can break it, or blind it, without failing any other test.
 """
 
 import json
@@ -25,3 +25,9 @@ def test_traced_benchmark_round_is_correct(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    if workload == "linkage-kb-budget":
+        # the round times the KB through its instance methods; an engine
+        # that bypassed them would leave these at zero
+        metrics = result["metrics"]
+        assert metrics["kb.asserts_per_query"]["value"] > 0
+        assert metrics["kb.assert_s_per_query"]["value"] > 0
