@@ -98,29 +98,35 @@ class KnowledgeBase:
 
     def _add_clause(self, clause: Clause) -> bool:
         """Store a clause and watch two of its literals; True when it is unit."""
-        cards, offset = self.cards, self._offset
-        codes = {}  # literal code -> literal, dropping repeats in order
+        cards, offset, mentioned = self.cards, self._offset, self.mentioned
+        kept = []  # the clause's literals, repeats dropped in order
+        codes = []  # their codes, those not falsified from the start first
         falsified = []  # (X != 0) on a cardinality-1 X: false from the start
         for lit in clause:
-            if not (0 <= lit.var < len(cards) and 0 <= lit.state < cards[lit.var]):
+            var, state = lit.var, lit.state
+            if not (0 <= var < len(cards) and 0 <= state < cards[var]):
                 raise ValueError(f"literal {lit} out of range")
-            code = 2 * (offset[lit.var] + lit.state) + (not lit.positive)
-            if code not in codes:
-                codes[code] = lit
-                if cards[lit.var] == 1 and not lit.positive:
-                    falsified.append(code)
-            self.mentioned[lit.var] = True
-        if not codes:
+            mentioned[var] = True
+            code = 2 * (offset[var] + state) + (not lit.positive)
+            if code in codes or code in falsified:
+                continue
+            kept.append(lit)
+            if cards[var] == 1 and not lit.positive:
+                falsified.append(code)
+            else:
+                codes.append(code)
+        if not kept:
             raise ValueError("empty clause")
         idx = len(self.clauses)
-        self.clauses.append(tuple(codes.values()))
-        order = [code for code in codes if code not in falsified] + falsified
-        self._lits.append(order)
-        if len(order) == 1:
+        self.clauses.append(tuple(kept))
+        unit = len(codes) < 2
+        codes += falsified
+        self._lits.append(codes)
+        if len(codes) == 1:
             return True
-        self._watches[order[0]].append(idx)
-        self._watches[order[1]].append(idx)
-        return order[1] in falsified
+        self._watches[codes[0]].append(idx)
+        self._watches[codes[1]].append(idx)
+        return unit
 
     @property
     def n_clauses(self) -> int:
@@ -301,17 +307,19 @@ class KnowledgeBase:
 
 
 def _clauses_from_cpt(cpt: TabularCpt, literals) -> Iterable[Clause]:
-    card = cpt.child_card
-    for row, inst in enumerate(itertools.product(*(range(c) for c in cpt.parent_cards))):
-        parent_lits = tuple(literals[p][s][False] for p, s in zip(cpt.parents, inst))
-        row_entries = cpt.entries[row * card : (row + 1) * card]
-        one_state = next((c for c, p in enumerate(row_entries) if p == 1.0), None)
-        if one_state is not None:
-            yield (literals[cpt.child][one_state][True],) + parent_lits
-        else:
+    card, entries, child = cpt.child_card, cpt.entries, literals[cpt.child]
+    # rows run over the parents' instantiations in product order, so each
+    # row's parent literals are one tuple of the product of the parents'
+    # negative literals
+    negatives = [[states[False] for states in literals[p]] for p in cpt.parents]
+    for row, parent_lits in enumerate(itertools.product(*negatives)):
+        row_entries = entries[row * card : (row + 1) * card]
+        if 1.0 in row_entries:
+            yield (child[row_entries.index(1.0)][True],) + parent_lits
+        elif 0.0 in row_entries:
             for c, p in enumerate(row_entries):
                 if p == 0.0:
-                    yield (literals[cpt.child][c][False],) + parent_lits
+                    yield (child[c][False],) + parent_lits
 
 
 def compile_kb(network: Network) -> KnowledgeBase:
@@ -324,7 +332,7 @@ def compile_kb(network: Network) -> KnowledgeBase:
     validated network cannot contradict itself there.
     """
     # one Literal object per (var, state, sign), shared by every clause
-    literals = [[{sign: Literal(v, s, sign) for sign in (False, True)} for s in range(card)]
+    literals = [[(Literal(v, s, False), Literal(v, s, True)) for s in range(card)]
                 for v, card in enumerate(network.cards)]
     clauses: list[Clause] = []
     for cpt in network.cpts:

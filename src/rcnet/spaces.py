@@ -123,17 +123,17 @@ def ve_space(network: Network, order: Sequence[int]) -> int:
     if sorted(order) != list(range(network.n)):
         raise ValueError("elimination order is not a permutation of the variable ids")
     adj = moral_graph(network)
+    cards = network.cards
     total = 0
     for v in order:
-        total += network.cards[v] * math.prod(network.cards[a] for a in adj[v])
-        neigh = list(adj[v])
-        for i, a in enumerate(neigh):
-            for b in neigh[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
+        neigh = adj[v]
+        total += cards[v] * math.prod(cards[a] for a in neigh)
         for a in neigh:
-            adj[a].discard(v)
-        adj[v].clear()
+            near = adj[a]
+            near |= neigh
+            near.discard(a)
+            near.discard(v)
+        adj[v] = None
     return total
 
 

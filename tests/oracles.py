@@ -6,6 +6,7 @@ structures; none of it shares code paths with the package internals.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from functools import lru_cache
@@ -158,6 +159,50 @@ def reference_fill_order(adj: list[set[int]]) -> list[int]:
             work[a].add(b)
             work[b].add(a)
         remaining.discard(v)
+    return order
+
+
+def recount_fill_order(adj: list[set[int]]) -> list[int]:
+    """Greedy min-fill by a heap with lazy entries that recounts, from
+    scratch, the fill of every vertex an elimination can change: the
+    eliminated vertex's neighbours and the common neighbours of each fill
+    edge's ends (same tie rule: fills, then neighborhood size, then id)."""
+
+    def fill_count(v: int) -> int:
+        neigh = work[v]
+        d = len(neigh)
+        return d * (d - 1) // 2 - sum(len(neigh & work[a]) for a in neigh) // 2
+
+    work = [set(s) for s in adj]
+    fill = [fill_count(v) for v in range(len(work))]
+    degree = [len(s) for s in work]
+    heap = [(fill[v], degree[v], v) for v in range(len(work))]
+    heapq.heapify(heap)
+    eliminated = [False] * len(work)
+    order = []
+    while heap:
+        f, d, v = heapq.heappop(heap)
+        if eliminated[v] or f != fill[v] or d != degree[v]:
+            continue
+        eliminated[v] = True
+        order.append(v)
+        neigh = work[v]
+        work[v] = set()
+        fill_edges = []
+        for a in neigh:
+            work[a].discard(v)
+            fill_edges += [(a, b) for b in neigh - work[a] if a < b]
+        for a, b in fill_edges:
+            work[a].add(b)
+            work[b].add(a)
+        touched = set(neigh)
+        for a, b in fill_edges:
+            touched |= work[a] & work[b]
+        for u in touched:
+            f, d = fill_count(u), len(work[u])
+            if f != fill[u] or d != degree[u]:
+                fill[u], degree[u] = f, d
+                heapq.heappush(heap, (f, d, u))
     return order
 
 

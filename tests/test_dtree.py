@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import rcnet.dtree
 from rcnet import (
     CachePolicy,
     annotate,
@@ -29,6 +30,7 @@ from rcnet.randnet import random_network
 from helpers import (
     chain_network,
     gate_network,
+    grid_doc,
     grid_network,
     right_linear_shape,
     spine_chain_doc,
@@ -41,6 +43,7 @@ from oracles import (
     exact_treewidth,
     forward_log_probability,
     naive_annotations,
+    recount_fill_order,
     reference_build_dtree,
     reference_fill_order,
 )
@@ -90,6 +93,43 @@ def test_min_fill_matches_reference_on_random_networks():
         assert min_fill_order(net) == reference_fill_order(moral_graph(net))
     grid = grid_network(7, seed=2)
     assert min_fill_order(grid) == reference_fill_order(moral_graph(grid))
+
+
+def test_min_fill_matches_recount_oracle():
+    rng = random.Random(43)
+    nets = [random_network(rng, max_vars=60, max_states=rng.randint(2, 4),
+                           max_joint=float("inf"))
+            for _ in range(120)]
+    nets += [grid_network(9, seed=1), parse_network(json.dumps(grid_doc(30, 3)))]
+    for net in nets:
+        assert min_fill_order(net) == recount_fill_order(moral_graph(net))
+
+
+def test_min_fill_counts_each_vertex_from_scratch_once(monkeypatch):
+    # the 30x30 grid's 900 initial counts; a recount per changed key
+    # would add about 15,000 more
+    net = parse_network(json.dumps(grid_doc(30, 3)))
+    calls = []
+    count = rcnet.dtree._fill_count
+
+    def counting(work, v):
+        calls.append(v)
+        return count(work, v)
+
+    monkeypatch.setattr(rcnet.dtree, "_fill_count", counting)
+    min_fill_order(net)
+    assert sorted(calls) == list(range(net.n))
+
+
+@pytest.mark.parametrize("adj, message", [
+    ([{1}, set(), set()], "not symmetric"),
+    ([{1}, {0, 1}, set()], "its own neighbour"),
+    ([{-1, 1}, {0}], "outside"),
+    ([{2}, set()], "outside"),
+])
+def test_greedy_fill_order_rejects_malformed_adjacency(adj, message):
+    with pytest.raises(ValueError, match=message):
+        greedy_fill_order(adj)
 
 
 # --- construction ----------------------------------------------------------

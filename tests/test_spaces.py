@@ -134,14 +134,14 @@ def test_dead_cache_removal_strictly_reduces_when_rule_fires():
     assert stats.cache_cells_live < stats.cache_cells_all
 
 
-def test_ve_space_dominates_unique_clique_cells():
+def test_ve_space_equals_elimination_clique_cells():
     rng = random.Random(23)
-    for _ in range(30):
-        net = random_network(rng, max_vars=9)
-        order = min_fill_order(net)
-        cliques = set(elimination_cliques(moral_graph(net), order))
-        clique_cells = sum(math.prod(net.cards[v] for v in c) for c in cliques)
-        assert ve_space(net, order) >= clique_cells
+    for _ in range(60):
+        net = random_network(rng, max_vars=30, max_joint=float("inf"))
+        for order in (min_fill_order(net), rng.sample(range(net.n), net.n)):
+            cliques = elimination_cliques(moral_graph(net), order)
+            clique_cells = sum(math.prod(net.cards[v] for v in c) for c in cliques)
+            assert ve_space(net, order) == clique_cells
 
 
 def test_space_report_fields_match_components():
