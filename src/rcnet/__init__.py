@@ -45,14 +45,6 @@ from .model import (
     validate_evidence,
 )
 from .randnet import random_evidence, random_network
-from .spaces import (
-    Jointree,
-    SpaceReport,
-    hugin_space,
-    induce_jointree,
-    shenoy_shafer_space,
-    space_report,
-    ve_space,
-)
+from .spaces import SpaceReport, space_report, ve_space
 
 __version__ = "0.1.0"

@@ -98,6 +98,7 @@ def _space(network, order, root, timings: dict) -> dict:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    policy = CachePolicy.parse(args.cache)
     started = time.perf_counter()
     timings = dict.fromkeys(STAGES + ("query",))
     with _timed(timings, "parse"):
@@ -115,7 +116,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             network,
             root,
             evidence,
-            policy=CachePolicy.parse(args.cache),
+            policy=policy,
             kb=kb,
             log_domain=args.log_space == "on",
         )

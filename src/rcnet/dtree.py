@@ -537,6 +537,11 @@ def _names(network: Network, ids) -> list[str]:
     return sorted(network.variables[v].name for v in ids)
 
 
+def _dot_escape(name: str) -> str:
+    """A name as it may stand inside a double-quoted DOT string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def dtree_to_json(root: DtreeNode) -> str:
     """Unindented JSON, since indentation grows quadratically with depth;
     a dtree more than about JSON_DEPTH_LIMIT levels deep raises ValueError."""
@@ -591,13 +596,15 @@ def dtree_to_dot(root: DtreeNode) -> str:
     for node in iter_nodes(root):
         if node.is_leaf:
             fam = network.family(node.var)
-            label = network.variables[node.var].name
+            label = _dot_escape(network.variables[node.var].name)
             if len(fam) > 1:
-                label += " | " + ",".join(network.variables[p].name for p in fam[1:])
+                label += " | " + ",".join(
+                    _dot_escape(network.variables[p].name) for p in fam[1:]
+                )
             lines.append(f'  n{node.id} [label="{label}"];')
         else:
-            cut = ",".join(_names(network, node.cutset)) or "-"
-            ctx = ",".join(_names(network, node.context)) or "-"
+            cut = ",".join(map(_dot_escape, _names(network, node.cutset))) or "-"
+            ctx = ",".join(map(_dot_escape, _names(network, node.context))) or "-"
             lines.append(
                 f'  n{node.id} [label="cut {{{cut}}}\\nctx {{{ctx}}}\\n{node.cache_state}"];'
             )

@@ -94,7 +94,16 @@ class CachePolicy:
     """Which caches a query may fill: all live ones, none, or a cell budget."""
 
     mode: str  # "full" | "none" | "budget"
-    max_cells: int | None = None
+    max_cells: int | None = None  # a budget's cells, None otherwise
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("full", "none", "budget"):
+            raise ValueError(f"unknown cache policy mode {self.mode!r}")
+        if self.mode == "budget":
+            if not isinstance(self.max_cells, int) or self.max_cells < 0:
+                raise ValueError(f"cache budget must be a non-negative int, not {self.max_cells!r}")
+        elif self.max_cells is not None:
+            raise ValueError(f"a {self.mode} cache policy takes no cell budget")
 
     @classmethod
     def full(cls) -> "CachePolicy":
@@ -106,8 +115,6 @@ class CachePolicy:
 
     @classmethod
     def budget(cls, max_cells: int) -> "CachePolicy":
-        if max_cells < 0:
-            raise ValueError("cache budget must be non-negative")
         return cls("budget", max_cells)
 
     @classmethod
@@ -116,8 +123,9 @@ class CachePolicy:
             return cls.full()
         if text == "none":
             return cls.none()
-        if text.startswith("budget:"):
-            return cls.budget(int(text.split(":", 1)[1]))
+        mode, _, cells = text.partition(":")
+        if mode == "budget" and cells.isdecimal():
+            return cls.budget(int(cells))
         raise ValueError(f"unknown cache policy {text!r} (use full, none, or budget:N)")
 
 
@@ -176,8 +184,6 @@ def apply_policy(root: DtreeNode, policy: CachePolicy) -> dict[int, str]:
         for node in live:
             states[node.id] = DISABLED
         return states
-    if policy.mode != "budget":
-        raise ValueError(f"unknown cache policy mode {policy.mode!r}")
     allocated = 0
     for node in sorted(live, key=lambda t: (t.cells, t.id)):
         if allocated + node.cells <= policy.max_cells:

@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from rcnet import Network
 from rcnet.dtree import DtreeNode
-from rcnet.spaces import Jointree
 
 
 def reference_build_dtree(network: Network, order: list[int]) -> DtreeNode:
@@ -225,27 +224,34 @@ def forward_log_probability(doc, evidence_by_name):
     return log_scale
 
 
-def check_running_intersection(jt: Jointree) -> bool:
-    """Clusters containing any one variable must form a connected subtree."""
-    neighbors: dict[int, list[int]] = {i: [] for i in range(len(jt.nodes))}
-    for parent, child, _ in jt.edges:
-        neighbors[parent].append(child)
-        neighbors[child].append(parent)
-    all_vars = set().union(*jt.nodes) if jt.nodes else set()
-    for v in all_vars:
-        holders = {i for i, cluster in enumerate(jt.nodes) if v in cluster}
-        if not holders:
-            return False
-        start = next(iter(holders))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in neighbors[u]:
-                if w in holders and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != holders:
+def dtree_separators(root: DtreeNode) -> list[tuple[DtreeNode, frozenset[int]]]:
+    """(t, cluster(t) & cluster(parent(t))) for every non-root node t, in
+    preorder: the separators of the jointree whose clusters are the dtree
+    clusters, found from the clusters alone."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.parent is not None:
+            out.append((node, node.cluster & node.parent.cluster))
+        if node.left is not None:
+            stack += (node.right, node.left)
+    return out
+
+
+def check_running_intersection(root: DtreeNode) -> bool:
+    """Each non-root node's separator with its parent is its context, and
+    the clusters holding any one variable form a connected subtree."""
+    separators = dtree_separators(root)
+    if any(sep != node.context for node, sep in separators):
+        return False
+    nodes = [root] + [node for node, _ in separators]
+    for v in set().union(*(node.cluster for node in nodes)):
+        holders = [node for node in nodes if v in node.cluster]
+        # a set of nodes in a rooted tree is connected when exactly one of
+        # them has no parent in the set
+        tops = [t for t in holders if t.parent is None or v not in t.parent.cluster]
+        if len(tops) != 1:
             return False
     return True
 

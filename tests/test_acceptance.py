@@ -23,21 +23,19 @@ from rcnet import (
     dtree_from_shape,
     dtree_stats,
     expand_to_table,
-    hugin_space,
-    induce_jointree,
     mark_dead_caches,
     min_fill_order,
     parse_network,
     prepare_dtree,
     rc_query,
-    shenoy_shafer_space,
+    space_report,
 )
 from rcnet.dtree import DEAD, LIVE, iter_nodes
 from rcnet.model import TabularCpt
 from rcnet.randnet import random_evidence, random_network
 
 from helpers import chain_network, gate_network, right_linear_shape, star_doc, star_network
-from oracles import check_running_intersection, replay_kb
+from oracles import check_running_intersection, dtree_separators, replay_kb
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -223,14 +221,18 @@ def test_space_identity_and_running_intersection():
     worst = None
     for _ in range(100):
         net = random_network(rng, max_vars=10, max_states=4)
-        root = build_dtree(net, min_fill_order(net))
+        order = min_fill_order(net)
+        root = build_dtree(net, order)
         annotate(root)
         mark_dead_caches(root)
-        jt = induce_jointree(root)
         cells_all = dtree_stats(root).cache_cells_all
-        assert cells_all == shenoy_shafer_space(jt, internal_child_edges_only=True)
-        assert hugin_space(jt) >= shenoy_shafer_space(jt)
-        assert check_running_intersection(jt)
+        separators = [(node, math.prod(net.cards[v] for v in sep))
+                      for node, sep in dtree_separators(root)]
+        assert cells_all == sum(c for node, c in separators if not node.is_leaf)
+        space = space_report(net, order, root)
+        assert space.shenoy_shafer_cells == sum(c for _, c in separators)
+        assert space.hugin_cells >= space.shenoy_shafer_cells
+        assert check_running_intersection(root)
         worst = cells_all
     report("rc cells equal separator cells on internal edges", True,
            f"100 networks, last cells_all={worst}")

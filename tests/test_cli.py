@@ -132,6 +132,14 @@ def test_query_missing_file_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_query_bad_cache_policy_exits_2_before_reading(capsys, tmp_path):
+    for cache in ("budget:-1", "budget:x", "half"):
+        code, _, err = run(capsys, ["query", "--net", str(tmp_path / "nope.json"),
+                                    "--cache", cache])
+        assert code == 2
+        assert "budget" in err or "cache policy" in err, err
+
+
 def test_stats_star_fixture_no_live_cells(capsys, tmp_path):
     net_path = write_json(tmp_path, "star.json", star_doc(5))
     # build the right-linear dtree by exporting a shape document

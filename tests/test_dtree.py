@@ -1,4 +1,5 @@
 import json
+import re
 import random
 import sys
 import time
@@ -440,3 +441,47 @@ def test_dot_export_mentions_every_node():
     assert dot.startswith("digraph")
     for node in iter_nodes(root):
         assert f"n{node.id} " in dot
+
+
+def unquote_dot(text):
+    """The characters a double-quoted DOT string stands for; \\n is a line break."""
+    return re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), text)
+
+
+def test_dot_export_escapes_names():
+    doc = spine_chain_doc(3, seed=1)
+    names = ['A"x', "B\\", 'C\\"q', '"']
+    rename = dict(zip([v["name"] for v in doc["variables"]], names))
+    for v in doc["variables"]:
+        v["name"] = rename[v["name"]]
+    for cpt in doc["cpts"]:
+        cpt["child"] = rename[cpt["child"]]
+        cpt["parents"] = [rename[p] for p in cpt["parents"]]
+    net = parse_network(json.dumps(doc))
+    root = prepare_dtree(net)
+    lines = dtree_to_dot(root).splitlines()
+    labels = {}
+    for line in lines:
+        if "[label=" in line:
+            m = re.fullmatch(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];', line)
+            assert m, line
+            labels[int(m.group(1))] = unquote_dot(m.group(2))
+    nodes = list(iter_nodes(root))
+    assert set(labels) == {node.id for node in nodes}
+
+    def named(ids):
+        return {net.variables[v].name for v in ids}
+
+    for node in nodes:
+        if node.is_leaf:
+            child, _, parents = labels[node.id].partition(" | ")
+            fam = net.family(node.var)
+            assert child == net.variables[node.var].name
+            assert (parents.split(",") if parents else []) == [net.variables[p].name
+                                                               for p in fam[1:]]
+        else:
+            cut, ctx, state = labels[node.id].split("\n")
+            for text, ids in ((cut, node.cutset), (ctx, node.context)):
+                inner = text.split(" ", 1)[1][1:-1]
+                assert set(inner.split(",")) - {"-"} == named(ids)
+            assert state == node.cache_state

@@ -90,6 +90,15 @@ def test_policy_budget_extremes_match_none_and_full(chain):
         CachePolicy.parse("half")
 
 
+def test_invalid_policy_refused_when_made():
+    for make in (lambda: CachePolicy("budget"), lambda: CachePolicy("bogus"),
+                 lambda: CachePolicy("full", 5), lambda: CachePolicy.budget(-1),
+                 lambda: CachePolicy.budget(2.5)):
+        with pytest.raises(ValueError):
+            make()
+    assert CachePolicy("budget", 0) == CachePolicy.budget(0)
+
+
 def test_policy_budget_prefers_small_contexts():
     rng = random.Random(40)
     for _ in range(20):
