@@ -59,6 +59,10 @@ LIVE = "live"
 DEAD = "dead"
 DISABLED = "disabled"
 
+# the one empty variable set every node shares: CPython makes each frozenset()
+# anew, 216 bytes apiece
+_NO_VARS: frozenset[int] = frozenset()
+
 # frames a deep walk may need beyond one per level: comprehensions, CPT and KB calls
 RECURSION_HEADROOM = 100
 
@@ -107,9 +111,9 @@ class DtreeNode:
         self.left = left
         self.right = right
         self.parent: DtreeNode | None = None
-        self.cutset: frozenset[int] = frozenset()
-        self.context: frozenset[int] = frozenset()
-        self.cluster: frozenset[int] = frozenset()
+        self.cutset: frozenset[int] = _NO_VARS
+        self.context: frozenset[int] = _NO_VARS
+        self.cluster: frozenset[int] = _NO_VARS
         self.cache_state = DEAD
         self.cells = 0
         self.network: Network | None = None
@@ -425,17 +429,18 @@ def annotate(root: DtreeNode) -> DtreeStats:
         if node.left is None:
             pos -= 1
             node.cluster = frozenset(network.family(node.var))
-            context = node.cluster & shared
-            node.cutset = frozenset()
+            # equal sets share one object: a frozenset costs 216 bytes or more
+            context = node.cluster if node.cluster <= shared else node.cluster & shared or _NO_VARS
+            node.cutset = _NO_VARS
             node.cache_state = DEAD
             node.cells = 0
             lo = hi = pos
         else:
             left, lo, _ = below.pop()
             right, _, hi = below.pop()
-            context = frozenset(v for v in left | right if first[v] < lo or last[v] > hi)
-            node.cutset = (left & right) - context
-            node.cluster = node.cutset | context
+            context = frozenset(v for v in left | right if first[v] < lo or last[v] > hi) or _NO_VARS
+            node.cutset = (left & right) - context or _NO_VARS
+            node.cluster = node.cutset | context if node.cutset else context
             node.cells = math.prod(cards[v] for v in context)
             node.cache_state = LIVE if node.parent is not None else DEAD
         node.context = context

@@ -34,9 +34,11 @@ One odometer walks each open cutset, the last variable fastest.  At
 each expansion it sums the fixed part of both children's keys once, and
 adds a level's stride to a key each time that level's state moves.
 Cache hits and misses, tabular leaves and leaves that sum to one are
-answered inside the walk; only noisy-or leaves and uncached internal
-children are called, so the recursion takes one Python frame per dtree
-level, and a deep dtree raises the recursion limit for the query alone.
+answered inside the walk.  A noisy-or leaf whose expanded table has at
+most NOISY_OR_TABLE_CELLS cells is lowered to that table and answered
+the same way; only larger noisy-or leaves and uncached internal children
+are called, so the recursion takes one Python frame per dtree level, and
+a deep dtree raises the recursion limit for the query alone.
 
 With a knowledge base attached, each open variable's state is asserted
 once per instantiation of the open variables before it, under its own
@@ -59,11 +61,11 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .dtree import DtreeNode, DISABLED, LIVE, dtree_stats, iter_nodes, recursion_room
 from .kb import KnowledgeBase
-from .model import Network, TabularCpt, validate_evidence
+from .model import Network, NoisyOrCpt, TabularCpt, expand_to_table, validate_evidence
 
 LOG_ZERO = float("-inf")
 UNASSIGNED = -1
@@ -76,6 +78,10 @@ EMPTY = math.inf
 # exceed 1, so rounding in the subnormal range moves any larger answer by at most
 # 2**-105 of its value
 LINEAR_FLOOR = sys.float_info.min / sys.float_info.epsilon  # 2**-970
+
+# a noisy-or leaf whose expanded table has at most this many cells is answered
+# from that table; a larger one computes each value from its parameters
+NOISY_OR_TABLE_CELLS = 4096
 
 __all__ = [
     "LOG_ZERO",
@@ -241,16 +247,19 @@ class QueryPlan:
     position of p's cutset.  The key of a live cache covers its context,
     and that of a tabular leaf the index of its family's entry in the
     CPT; both hold every variable of p's cutset.  A dead cache and a
-    noisy-or leaf, which nothing indexes, have no variables and stride 0
-    at every position.  lone lists the tabular leaves whose variable is
-    in no other family.  Queries never change a plan, except that the
+    noisy-or leaf too large to lower (NOISY_OR_TABLE_CELLS), which nothing
+    indexes, have no variables and stride 0 at every position; a smaller
+    noisy-or leaf is lowered to its expanded table and keyed like a
+    tabular one.  lone lists the tabular leaves whose variable is in no
+    other family, and cut_node[v] is the node whose cutset holds
+    variable v, or -1.  Queries never change a plan, except that the
     first log-domain query fills in log_tables and the first query under
     each cache policy records the caches it enables.
     """
 
     __slots__ = (
-        "network", "root", "left", "right", "cutset", "keys", "leaf_var",
-        "lone", "tables", "log_tables", "height", "enabled",
+        "network", "root", "left", "right", "parent", "cutset", "cut_node", "keys",
+        "leaf_var", "lone", "tables", "log_tables", "height", "enabled",
     )
 
     def __init__(self, root: DtreeNode, network: Network):
@@ -261,7 +270,9 @@ class QueryPlan:
         self.root = root.id
         self.left = [-1] * n
         self.right = [-1] * n
+        self.parent = [-1] * n
         self.cutset: list[tuple[int, ...]] = [()] * n
+        self.cut_node = [-1] * network.n
         self.keys: list[tuple[tuple[int, ...], ...]] = [((), (), ())] * n
         self.leaf_var = [-1] * n
         self.tables: list[tuple[float, ...] | None] = [None] * n
@@ -277,6 +288,8 @@ class QueryPlan:
                 self.left[i] = node.left.id
                 self.right[i] = node.right.id
                 self.cutset[i] = tuple(sorted(node.cutset))
+                for v in self.cutset[i]:
+                    self.cut_node[v] = i
                 if node.cache_state == LIVE:
                     key = _strides(node.context, cards)[0]
             else:
@@ -289,6 +302,9 @@ class QueryPlan:
                             f"context, so it may be unassigned at lookup; malformed dtree"
                         )
                 self.leaf_var[i] = node.var
+                if (isinstance(cpt, NoisyOrCpt)
+                        and 2 * math.prod([cards[p] for p in cpt.parents]) <= NOISY_OR_TABLE_CELLS):
+                    cpt = expand_to_table(network, node.var)
                 if isinstance(cpt, TabularCpt):
                     key[node.var] = 1
                     stride = cpt.child_card
@@ -300,6 +316,7 @@ class QueryPlan:
                         lone.append(i)
             if node.parent is None:
                 continue
+            self.parent[i] = node.parent.id
             cut = self.cutset[node.parent.id]
             fixed = [v for v in key if v not in cut]
             parts = (tuple(fixed), tuple([key[v] for v in fixed]),
@@ -354,69 +371,67 @@ _OPEN = object()
 
 
 def _open_query(plan: QueryPlan, enabled: tuple[int, ...], evidence: list[int],
-                log_domain: bool) -> tuple[list, list, list]:
+                observed: Iterable[int], log_domain: bool) -> tuple[list, list, list]:
     """What one query adds to its plan: per node, the source, key and open
     cutset that _run_plan reads.
 
     A node's source is what its parent reads its value from: a cache
     table, its CPT entries, a one-cell table for a leaf that sums to one,
-    or None when the parent must call out (a noisy-or leaf, an uncached
-    internal node).  A cache table is an array('d') with a cell per
-    instantiation of the context variables the evidence leaves open, all
-    EMPTY.  The plan's keys and cutsets are copied on their first change:
-    a cutset drops its observed variables, its children's keys drop their
-    strides at those positions (a leaf moves them into its fixed part),
-    and a cache whose context holds evidence is keyed over its open
-    variables alone (an observed one keeps its place with stride 0).
+    or None when the parent must call out (a large noisy-or leaf, an
+    uncached internal node).  A cache table is an array('d') with a cell
+    per instantiation of the context variables the evidence leaves open,
+    all EMPTY.  The plan's keys and cutsets are copied on their first
+    change: a cutset drops its observed variables, its children's keys
+    drop their strides at those positions (a leaf moves them into its
+    fixed part), and a cache whose context holds evidence is keyed over
+    its open variables alone (an observed one keeps its place with stride
+    0).  Only the nodes whose cutset holds an `observed` variable, the
+    enabled caches and the lone leaves are visited.
     """
     cards = plan.network.cards
-    left, right = plan.left, plan.right
+    left, right, parent, cutset = plan.left, plan.right, plan.parent, plan.cutset
     sources = list(plan.log_domain_tables() if log_domain else plan.tables)
+    keys, cuts = plan.keys, cutset  # each copied on its first change
     one = _LOG_ONE if log_domain else _ONE
-    for t in plan.lone:
-        if evidence[plan.leaf_var[t]] < 0:
-            sources[t] = one
+    lone = [t for t in plan.lone if evidence[plan.leaf_var[t]] < 0]
+    for t in lone:
+        sources[t] = one
     for t in enabled:
         sources[t] = _OPEN
-    keys, cuts = plan.keys, plan.cutset  # each copied on its first change
-    for t, cut in enumerate(plan.cutset):
-        if left[t] < 0:
-            continue
-        open_cut = cut
-        for u in cut:
-            if evidence[u] >= 0:
-                open_cut = tuple([v for v in cut if evidence[v] < 0])
-                if cuts is plan.cutset:
-                    cuts = list(cuts)
-                cuts[t] = open_cut
-                break
+    cut_node = plan.cut_node  # each variable is in at most one cutset
+    changed = {cut_node[v] for v in observed}
+    changed.discard(-1)
+    if changed:
+        cuts, keys = list(cuts), list(keys)
+    for t in changed:
+        cut = cutset[t]
+        cuts[t] = tuple([v for v in cut if evidence[v] < 0])
         for c in (left[t], right[t]):
-            source = sources[c]
-            if source is _OPEN:  # a cache, whose context holds all of cut
-                fixed = plan.keys[c][0]
-                if open_cut is cut and all(evidence[v] < 0 for v in fixed):
-                    key = None
-                    cells = math.prod([cards[v] for v in fixed + cut])
-                else:  # observed variables keep their place in fixed, with stride 0
-                    open_context = [v for v in fixed if evidence[v] < 0] + list(open_cut)
-                    table, cells = _strides(open_context, cards)
-                    key = (fixed, tuple([table.get(v, 0) for v in fixed]),
-                           tuple([table[u] for u in open_cut]))
-                sources[c] = array("d", [EMPTY]) * cells
-            elif source is one:
-                key = ((), (), (0,) * len(open_cut))
-            elif open_cut is not cut:
-                fixed, strides, steps = plan.keys[c]
-                moved = [i for i, u in enumerate(cut) if evidence[u] >= 0 and steps[i]]
-                key = (fixed + tuple([cut[i] for i in moved]),
+            if sources[c] is _OPEN or sources[c] is one:
+                continue  # keyed below
+            fixed, strides, steps = keys[c]
+            moved = [i for i, u in enumerate(cut) if evidence[u] >= 0 and steps[i]]
+            keys[c] = (fixed + tuple([cut[i] for i in moved]),
                        strides + tuple([steps[i] for i in moved]),
                        tuple([steps[i] for i, u in enumerate(cut) if evidence[u] < 0]))
-            else:
-                continue
-            if key is not None:
-                if keys is plan.keys:
-                    keys = list(keys)
-                keys[c] = key
+    for c in enabled:  # a cache's context holds all of its parent's cutset
+        cut, open_cut = cutset[parent[c]], cuts[parent[c]]
+        fixed = keys[c][0]
+        if open_cut is cut and all(evidence[v] < 0 for v in fixed):
+            cells = math.prod([cards[v] for v in fixed + cut])
+        else:  # observed variables keep their place in fixed, with stride 0
+            open_context = [v for v in fixed if evidence[v] < 0] + list(open_cut)
+            table, cells = _strides(open_context, cards)
+            if keys is plan.keys:
+                keys = list(keys)
+            keys[c] = (fixed, tuple([table.get(v, 0) for v in fixed]),
+                       tuple([table[u] for u in open_cut]))
+        sources[c] = array("d", [EMPTY]) * cells
+    if lone and keys is plan.keys:
+        keys = list(keys)
+    for t in lone:
+        if parent[t] >= 0:
+            keys[t] = ((), (), (0,) * len(cuts[parent[t]]))
     return sources, keys, cuts
 
 
@@ -438,9 +453,14 @@ def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: li
     one = 0.0 if log_domain else 1.0
     empty = EMPTY
     lookups = evaluated = skips = 0
+    # a level's checkpoint is kept only with a KB and two or more open levels;
+    # otherwise every token is -1, and this list, as long as any cutset,
+    # stands in for them all
+    no_tokens = [-1] * max(map(len, cuts))
 
     def leaf(t: int) -> float:
-        """A leaf's value from its CPT: noisy-or leaves and a leaf root."""
+        """A leaf's value from its CPT: noisy-or leaves too large to lower,
+        and a leaf root."""
         var = leaf_var[t]
         x = assign[var]
         if x < 0:
@@ -481,8 +501,8 @@ def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: li
         open_vars = cuts[t]
         k = len(open_vars)
         last = k - 1
-        tokens = [-1] * last
-        terms: list[float] = []
+        tokens = [-1] * last if last > 0 and kb is not None else no_tokens
+        terms = [] if log_domain else None
         total = 0.0
         n = i = s = 0
         token = -1
@@ -606,7 +626,7 @@ def rc_query(
                             log_value=LOG_ZERO if log_domain else None,
                         )
             enabled = _enabled_caches(plan, root, policy or CachePolicy.full())
-            sources, keys, cuts = _open_query(plan, enabled, expected, log_domain)
+            sources, keys, cuts = _open_query(plan, enabled, expected, evidence, log_domain)
             value, lookups, evaluated, skips = _run_plan(
                 plan, sources, keys, cuts, assign, kb, log_domain)
         finally:

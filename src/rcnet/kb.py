@@ -12,18 +12,23 @@ Detection is exact floating-point equality: near-zero entries are
 probabilities, not constraints.  Noisy-or CPTs contribute nothing.
 
 Each variable's domain is an int bitmask of its possible states.  A
-positive literal (X = x) is falsified once bit x leaves the domain; a
-negative literal (X != x) once the domain is exactly bit x.  Internally
-a literal is the int 2 * (offset[X] + x) + negative.
+literal is the int code 2 * (offset[X] + x) + negative, and each code
+has its variable and the mask of the states it allows: bit x for
+(X = x), every other state's bit for (X != x).  Against its variable's
+domain d, a literal with mask m is falsified when d & m is 0, satisfied
+when d & ~m is 0, and asserted by d &= m, whatever its sign.
 
 Propagation uses two watched literals per clause (Moskewicz et al.,
 "Chaff", DAC 2001).  A clause is looked at only when one of its two
 watches is falsified: it then watches another literal that is not
 falsified, or, when none is left, asserts its other watch, or reports a
-contradiction when that one is falsified too.  Falsified literals wait
-in an explicit queue, so a long chain of implications costs no Python
-recursion.  Unit clauses propagate when the KB is built; that state is
-the base a checkpoint can never go below.
+contradiction when that one is falsified too.  One loop in
+assert_literal does all of it: it assigns each implied literal inline
+and pushes the watched literals that the change falsifies on a local
+stack, so a long chain of implications costs neither a Python call per
+implication nor Python recursion.  Unit clauses go through the same
+loop when the KB is built; that state is the base a checkpoint can
+never go below.
 
 The trail records only domain changes (variable, previous domain).
 Watches need no undo: a watch moves only to a literal that is not
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import Network, TabularCpt
 
@@ -68,65 +73,76 @@ class KnowledgeBase:
     clauses propagate to a contradiction raises ValueError.
     """
 
-    def __init__(self, cards: Iterable[int], clauses: Iterable[Clause] = ()):
+    def __init__(self, cards: Iterable[int], clauses: Iterable[Clause] = (), *,
+                 codes: Iterable[Sequence[int]] | None = None):
+        """`codes`, when given, holds each clause's literal codes in the
+        clause's order, with no literal repeated, as compile_kb derives
+        them along with the clauses; without it every literal is checked
+        and coded here, and repeats are dropped."""
         self.cards = tuple(cards)
         self.domain = [(1 << c) - 1 for c in self.cards]
         self.mentioned = [False] * len(self.cards)
         self.positive = [[Literal(v, s, True) for s in range(c)]
                          for v, c in enumerate(self.cards)]
-        self._offset = list(itertools.accumulate(self.cards, initial=0))
-        # per (var, state) slot, i.e. literal >> 1: its variable and state bit
-        self._slot_var = [v for v, c in enumerate(self.cards) for _ in range(c)]
-        self._slot_bit = [1 << s for c in self.cards for s in range(c)]
-        self.clauses: list[Clause] = []
-        self._lits: list[list[int]] = []  # per clause; positions 0 and 1 are watched
-        self._watches: list[list[int]] = [[] for _ in range(2 * self._offset[-1])]
-        self._queue: list[int] = []  # falsified literals whose watches are not yet visited
+        self._base = _code_bases(self.cards)  # per variable X, the code of (X = 0)
+        # per literal code: its variable, and the mask of the states it allows
+        self._lit_var = [v for v, c in enumerate(self.cards) for _ in range(2 * c)]
+        masks = {c: [mask for s in range(c) for mask in (1 << s, ((1 << c) - 1) ^ (1 << s))]
+                 for c in set(self.cards)}
+        self._lit_allowed = list(itertools.chain.from_iterable(map(masks.__getitem__, self.cards)))
+        self._watches: list[list[int]] = [[] for _ in self._lit_var]
         self._trail_var: list[int] = []
         self._trail_old: list[int] = []
+        if codes is None:
+            self.clauses, codes = self._coded(clauses)
+        else:
+            self.clauses = list(clauses)
+            codes = list(codes)
+        # per clause, the codes of its literals that are not false from the
+        # start, (X != 0) on a cardinality-1 X being one; positions 0 and 1
+        # are watched
+        self._lits: list[list[int]] = []
+        lit_var, allowed, watches = self._lit_var, self._lit_allowed, self._watches
         units = []
-        for clause in clauses:
-            if self._add_clause(clause):
-                units.append(self._lits[-1][0])
-        for lit in units:
-            if not (self._assign(lit) and self._propagate()):
+        for idx, clause_codes in enumerate(codes):
+            lits = [c for c in clause_codes if allowed[c]]
+            self._lits.append(lits)
+            if len(lits) > 1:
+                watches[lits[0]].append(idx)
+                watches[lits[1]].append(idx)
+            elif not lits:
+                raise ValueError("contradictory clause set")
+            else:
+                units.append(self.clauses[idx][clause_codes.index(lits[0])])
+        for v in {lit_var[c] for clause_codes in codes for c in clause_codes}:
+            self.mentioned[v] = True
+        for literal in units:
+            if not self.assert_literal(literal):
                 raise ValueError("contradictory clause set")
         self._trail_var.clear()
         self._trail_old.clear()
 
     # -- construction ------------------------------------------------------
 
-    def _add_clause(self, clause: Clause) -> bool:
-        """Store a clause and watch two of its literals; True when it is unit."""
-        cards, offset, mentioned = self.cards, self._offset, self.mentioned
-        kept = []  # the clause's literals, repeats dropped in order
-        codes = []  # their codes, those not falsified from the start first
-        falsified = []  # (X != 0) on a cardinality-1 X: false from the start
-        for lit in clause:
-            var, state = lit.var, lit.state
-            if not (0 <= var < len(cards) and 0 <= state < cards[var]):
-                raise ValueError(f"literal {lit} out of range")
-            mentioned[var] = True
-            code = 2 * (offset[var] + state) + (not lit.positive)
-            if code in codes or code in falsified:
-                continue
-            kept.append(lit)
-            if cards[var] == 1 and not lit.positive:
-                falsified.append(code)
-            else:
-                codes.append(code)
-        if not kept:
-            raise ValueError("empty clause")
-        idx = len(self.clauses)
-        self.clauses.append(tuple(kept))
-        unit = len(codes) < 2
-        codes += falsified
-        self._lits.append(codes)
-        if len(codes) == 1:
-            return True
-        self._watches[codes[0]].append(idx)
-        self._watches[codes[1]].append(idx)
-        return unit
+    def _coded(self, clauses: Iterable[Clause]) -> tuple[list[Clause], list[list[int]]]:
+        """Each clause with its repeated literals dropped, and their codes."""
+        cards, bases = self.cards, self._base
+        kept_clauses, codes = [], []
+        for clause in clauses:
+            kept, clause_codes = [], []
+            for lit in clause:
+                var, state = lit.var, lit.state
+                if not (0 <= var < len(cards) and 0 <= state < cards[var]):
+                    raise ValueError(f"literal {lit} out of range")
+                c = bases[var] + 2 * state + (not lit.positive)
+                if c not in clause_codes:
+                    kept.append(lit)
+                    clause_codes.append(c)
+            if not kept:
+                raise ValueError("empty clause")
+            kept_clauses.append(tuple(kept))
+            codes.append(clause_codes)
+        return kept_clauses, codes
 
     @property
     def n_clauses(self) -> int:
@@ -139,18 +155,10 @@ class KnowledgeBase:
     # -- literal status ------------------------------------------------------
 
     def _falsified(self, lit: int) -> bool:
-        slot = lit >> 1
-        domain = self.domain[self._slot_var[slot]]
-        if lit & 1:
-            return domain == self._slot_bit[slot]
-        return not domain & self._slot_bit[slot]
+        return not self.domain[self._lit_var[lit]] & self._lit_allowed[lit]
 
     def _satisfied(self, lit: int) -> bool:
-        slot = lit >> 1
-        domain = self.domain[self._slot_var[slot]]
-        if lit & 1:
-            return not domain & self._slot_bit[slot]
-        return domain == self._slot_bit[slot]
+        return not self.domain[self._lit_var[lit]] & ~self._lit_allowed[lit]
 
     # -- assertion and propagation -----------------------------------------
 
@@ -160,77 +168,68 @@ class KnowledgeBase:
         On contradiction the KB keeps the partially propagated state;
         retract_to() a prior checkpoint to recover.
         """
-        code = 2 * (self._offset[literal.var] + literal.state) + (not literal.positive)
-        return self._assign(code) and self._propagate()
-
-    def _assign(self, lit: int) -> bool:
-        """Make a literal true in its variable's domain and queue the
-        watched literals that this falsifies; False when the domain empties."""
-        slot = lit >> 1
-        var = self._slot_var[slot]
-        bit = self._slot_bit[slot]
-        old = self.domain[var]
-        new = old & ~bit if lit & 1 else old & bit
-        if new == old:
-            return True
-        if not new:
-            self._queue.clear()
-            return False
-        self._trail_var.append(var)
-        self._trail_old.append(old)
-        self.domain[var] = new
-        queue, watches = self._queue, self._watches
-        base = 2 * self._offset[var]
-        removed = old ^ new
-        while removed:  # (X = s) is falsified for every state s that left
-            low = removed & -removed
-            removed ^= low
-            code = base + 2 * low.bit_length() - 2
-            if watches[code]:
-                queue.append(code)
-        if not new & (new - 1):  # a single state is left: (X != s) is falsified
-            code = base + 2 * new.bit_length() - 1
-            if watches[code]:
-                queue.append(code)
-        return True
-
-    def _propagate(self) -> bool:
-        """Visit the clauses watching each queued literal until the queue
-        is empty; False on a contradiction."""
-        queue, watches, lits = self._queue, self._watches, self._lits
-        domain, slot_var, slot_bit = self.domain, self._slot_var, self._slot_bit
-        while queue:
-            lit = queue.pop()
-            watching = watches[lit]
-            i = 0
-            while i < len(watching):
+        domain, lit_var, allowed = self.domain, self._lit_var, self._lit_allowed
+        watches, lits, bases = self._watches, self._lits, self._base
+        trail_var, trail_old = self._trail_var, self._trail_old
+        code = bases[literal.var] + 2 * literal.state + (not literal.positive)
+        stack = []  # watched literals falsified, whose clauses are not yet visited
+        watching: list[int] = []  # the clauses watching lit, visited from i up to end
+        lit = i = end = 0
+        while True:
+            # assign code: the asserted literal first, then each implied one
+            var = lit_var[code]
+            old = domain[var]
+            new = old & allowed[code]
+            if new != old:
+                if not new:
+                    return False
+                trail_var.append(var)
+                trail_old.append(old)
+                domain[var] = new
+                base = bases[var]
+                removed = old ^ new
+                while removed:  # (X = s) is falsified for every state s that left
+                    low = removed & -removed
+                    removed ^= low
+                    falsified = base + 2 * low.bit_length() - 2
+                    if watches[falsified]:
+                        stack.append(falsified)
+                if not new & (new - 1):  # a single state is left: (X != s) is falsified
+                    falsified = base + 2 * new.bit_length() - 1
+                    if watches[falsified]:
+                        stack.append(falsified)
+            # visit watching clauses until one implies a literal
+            while True:
+                if i == end:
+                    if not stack:
+                        return True
+                    lit = stack.pop()
+                    watching = watches[lit]
+                    i, end = 0, len(watching)
+                    continue
                 idx = watching[i]
                 codes = lits[idx]
                 other = codes[0]
                 if other == lit:
                     other = codes[0] = codes[1]
                     codes[1] = lit
-                slot = other >> 1
-                d = domain[slot_var[slot]]
-                if (d & slot_bit[slot] == 0) if other & 1 else (d == slot_bit[slot]):
+                if not domain[lit_var[other]] & ~allowed[other]:
                     i += 1  # the other watch is satisfied
                     continue
                 for j in range(2, len(codes)):
                     candidate = codes[j]
-                    slot = candidate >> 1
-                    d = domain[slot_var[slot]]
-                    if (d != slot_bit[slot]) if candidate & 1 else (d & slot_bit[slot]):
+                    if domain[lit_var[candidate]] & allowed[candidate]:
                         codes[1] = candidate  # not falsified: watch it instead
                         codes[j] = lit
                         watches[candidate].append(idx)
-                        watching[i] = watching[-1]
+                        end -= 1
+                        watching[i] = watching[end]
                         watching.pop()
                         break
                 else:
-                    if not self._assign(other):
-                        return False
                     i += 1
-        return True
+                    code = other  # the clause is unit on other
+                    break
 
     # -- trail -------------------------------------------------------------
 
@@ -306,20 +305,30 @@ class KnowledgeBase:
         return "\n".join(lines)
 
 
-def _clauses_from_cpt(cpt: TabularCpt, literals) -> Iterable[Clause]:
-    card, entries, child = cpt.child_card, cpt.entries, literals[cpt.child]
+def _code_bases(cards: Iterable[int]) -> list[int]:
+    """Per variable X, the code of (X = 0), 2 * offset[X]; last, the number
+    of codes."""
+    return list(itertools.accumulate((2 * card for card in cards), initial=0))
+
+
+def _clauses_from_cpt(cpt: TabularCpt, literals, bases) -> Iterable[tuple[Clause, tuple[int, ...]]]:
+    """The CPT's clauses, each with its literals' codes."""
+    card, entries, child, base = cpt.child_card, cpt.entries, literals[cpt.child], bases[cpt.child]
     # rows run over the parents' instantiations in product order, so each
     # row's parent literals are one tuple of the product of the parents'
-    # negative literals
+    # negative literals, and their codes one of the product of their codes
     negatives = [[states[False] for states in literals[p]] for p in cpt.parents]
-    for row, parent_lits in enumerate(itertools.product(*negatives)):
+    negative_codes = [range(bases[p] + 1, bases[p + 1], 2) for p in cpt.parents]
+    rows = zip(itertools.product(*negatives), itertools.product(*negative_codes))
+    for row, (parent_lits, parent_codes) in enumerate(rows):
         row_entries = entries[row * card : (row + 1) * card]
         if 1.0 in row_entries:
-            yield (child[row_entries.index(1.0)][True],) + parent_lits
+            c = row_entries.index(1.0)
+            yield (child[c][True],) + parent_lits, (base + 2 * c,) + parent_codes
         elif 0.0 in row_entries:
             for c, p in enumerate(row_entries):
                 if p == 0.0:
-                    yield (child[c][False],) + parent_lits
+                    yield (child[c][False],) + parent_lits, (base + 2 * c + 1,) + parent_codes
 
 
 def compile_kb(network: Network) -> KnowledgeBase:
@@ -327,15 +336,21 @@ def compile_kb(network: Network) -> KnowledgeBase:
 
     No clause repeats: two rows of one CPT differ on a parent literal,
     and two CPTs' clauses differ on the child's literal, which a clause
-    of the other CPT could only hold if the network had a cycle.  Unit
-    clauses (deterministic roots) propagate as the KB is built; a
-    validated network cannot contradict itself there.
+    of the other CPT could only hold if the network had a cycle.  No
+    literal repeats within a clause either, as each is on another
+    variable of the family, so the clauses are handed over with their
+    codes.  Unit clauses (deterministic roots) propagate as the KB is
+    built; a validated network cannot contradict itself there.
     """
     # one Literal object per (var, state, sign), shared by every clause
     literals = [[(Literal(v, s, False), Literal(v, s, True)) for s in range(card)]
                 for v, card in enumerate(network.cards)]
+    bases = _code_bases(network.cards)
     clauses: list[Clause] = []
+    codes: list[tuple[int, ...]] = []
     for cpt in network.cpts:
         if isinstance(cpt, TabularCpt):
-            clauses.extend(_clauses_from_cpt(cpt, literals))
-    return KnowledgeBase(network.cards, clauses)
+            for clause, clause_codes in _clauses_from_cpt(cpt, literals, bases):
+                clauses.append(clause)
+                codes.append(clause_codes)
+    return KnowledgeBase(network.cards, clauses, codes=codes)

@@ -394,8 +394,10 @@ def validate_evidence(network: Network, evidence: Mapping[int, int]) -> None:
 def expand_to_table(network: Network, child: int, max_cells: int = 1 << 22) -> TabularCpt:
     """Materialize a noisy-or CPT as an equivalent dense table.
 
-    Intended for small families (oracle/testing); raises ValueError when
-    the table would exceed max_cells.
+    The query plan lowers each noisy-or family whose table has at most
+    engine.NOISY_OR_TABLE_CELLS cells this way, and tests use it as an
+    oracle; raises ValueError when the table would exceed max_cells.
+    Each entry is bitwise what NoisyOrCpt.prob returns.
     """
     cpt = network.cpts[child]
     if not isinstance(cpt, NoisyOrCpt):

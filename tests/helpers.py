@@ -131,8 +131,9 @@ def spine_chain_doc(n: int, seed: int) -> dict:
     return {"variables": [{"name": v, "states": ["0", "1"]} for v in names], "cpts": cpts}
 
 
-def grid_doc(side: int, seed: int) -> dict:
-    """Binary side x side grid; each cell's parents are its upper and left neighbours."""
+def grid_doc(side: int, seed: int, noisy_or: bool = False) -> dict:
+    """Binary side x side grid; each cell's parents are its upper and left
+    neighbours.  With noisy_or, every cell that has parents is noisy-or."""
     rng = random.Random(seed)
     name = lambda r, c: f"G{r}_{c}"
     variables, cpts = [], []
@@ -140,10 +141,16 @@ def grid_doc(side: int, seed: int) -> dict:
         for c in range(side):
             parents = ([name(r - 1, c)] if r else []) + ([name(r, c - 1)] if c else [])
             variables.append({"name": name(r, c), "states": ["0", "1"]})
-            cpts.append({"child": name(r, c), "parents": parents, "kind": "table",
-                         "table": _binary_rows(rng, 2 ** len(parents))})
+            if noisy_or and parents:
+                cpts.append({"child": name(r, c), "parents": parents, "kind": "noisy_or",
+                             "trigger": ["1"] * len(parents),
+                             "inhibitor": [round(rng.uniform(0.1, 0.9), 6) for _ in parents],
+                             "leak": round(rng.uniform(0.0, 0.3), 6)})
+            else:
+                cpts.append({"child": name(r, c), "parents": parents, "kind": "table",
+                             "table": _binary_rows(rng, 2 ** len(parents))})
     return {"variables": variables, "cpts": cpts}
 
 
-def grid_network(side: int, seed: int) -> Network:
-    return parse_network(json.dumps(grid_doc(side, seed)))
+def grid_network(side: int, seed: int, noisy_or: bool = False) -> Network:
+    return parse_network(json.dumps(grid_doc(side, seed, noisy_or)))

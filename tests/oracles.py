@@ -279,3 +279,33 @@ def replay_kb(kb_factory, surviving_asserts):
         ok = fresh.assert_literal(literal)
         assert ok, "replay oracle hit a contradiction the original run survived"
     return fresh
+
+
+def unit_closure(cards, clauses, asserted):
+    """Each variable's domain bitmask once unit resolution has run to its
+    fixpoint over `clauses` and the `asserted` literals, or None on a
+    contradiction.  Domains are sets of states, and every clause is
+    rescanned until a whole pass changes nothing; no watches."""
+    domains = [set(range(card)) for card in cards]
+
+    def allowed(lit):
+        return {lit.state} if lit.positive else set(range(cards[lit.var])) - {lit.state}
+
+    for lit in asserted:
+        domains[lit.var] &= allowed(lit)
+        if not domains[lit.var]:
+            return None
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            open_lits = [lit for lit in clause if domains[lit.var] & allowed(lit)]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                lit = open_lits[0]
+                narrowed = domains[lit.var] & allowed(lit)
+                if narrowed != domains[lit.var]:
+                    domains[lit.var] = narrowed
+                    changed = True
+    return [sum(1 << s for s in domain) for domain in domains]

@@ -266,6 +266,17 @@ def test_annotate_memory_is_linear_on_a_deep_chain():
     assert peak < 10 * 2**20
 
 
+def test_annotate_shares_equal_variable_sets():
+    # each frozenset costs 216 bytes or more, so equal sets of one node are one object
+    nodes = list(iter_nodes(prepare_dtree(grid_network(9, seed=1))))
+    sets = [s for t in nodes for s in (t.cutset, t.context, t.cluster)]
+    assert len({id(s) for s in sets if not s}) == 1
+    leaves = [t for t in nodes if t.is_leaf and t.context == t.cluster]
+    assert len(leaves) == 80 and all(t.context is t.cluster for t in leaves)
+    uncut = [t for t in nodes if not t.is_leaf and not t.cutset]
+    assert uncut and all(t.cluster is t.context for t in uncut)
+
+
 def test_prepares_and_answers_a_5000_variable_chain():
     doc = spine_chain_doc(4999, 3)
     net = parse_network(json.dumps(doc))

@@ -17,6 +17,7 @@ from rcnet import (
     compile_kb,
     dtree_from_shape,
     dtree_stats,
+    expand_to_table,
     lookup,
     mark_dead_caches,
     min_fill_order,
@@ -25,7 +26,8 @@ from rcnet import (
     rc_query,
 )
 from rcnet.dtree import DISABLED, LIVE, iter_nodes
-from rcnet.engine import LOG_ZERO, UNASSIGNED, QueryPlan
+from rcnet.engine import LOG_ZERO, NOISY_OR_TABLE_CELLS, UNASSIGNED, QueryPlan
+from rcnet.model import NoisyOrCpt
 from rcnet.randnet import random_evidence, random_network
 
 from helpers import (
@@ -722,6 +724,74 @@ def test_plan_rejects_parent_outside_leaf_context(chain):
     rewired = parse_network(json.dumps(doc))
     with pytest.raises(RuntimeError, match="malformed dtree"):
         rc_query(rewired, root, {2: 0})
+
+
+def mixed_noisy_or_network():
+    """Binary roots X0..X11; Z is noisy-or over X0 and X1 (8 cells expanded),
+    Y noisy-or over all twelve (8,192 cells, over NOISY_OR_TABLE_CELLS)."""
+    roots = [f"X{i}" for i in range(12)]
+    binary = ["0", "1"]
+    doc = {
+        "variables": [{"name": v, "states": binary} for v in roots + ["Z", "Y"]],
+        "cpts": [{"child": v, "parents": [], "kind": "table", "table": [0.3 + 0.03 * i, 0.7 - 0.03 * i]}
+                 for i, v in enumerate(roots)],
+    }
+    doc["cpts"].append({"child": "Z", "parents": roots[:2], "kind": "noisy_or",
+                        "trigger": ["1", "0"], "inhibitor": [0.3, 0.6], "leak": 0.05})
+    doc["cpts"].append({"child": "Y", "parents": roots, "kind": "noisy_or",
+                        "trigger": ["1"] * 12, "inhibitor": [0.5 + 0.03 * i for i in range(12)],
+                        "leak": 0.1})
+    return parse_network(json.dumps(doc))
+
+
+def count_noisy_or_calls(monkeypatch):
+    calls = []
+    prob = NoisyOrCpt.prob
+
+    def counted(self, child_state, parent_states):
+        calls.append(self.child)
+        return prob(self, child_state, parent_states)
+
+    monkeypatch.setattr(NoisyOrCpt, "prob", counted)
+    return calls
+
+
+def test_small_noisy_or_families_are_lowered_to_tables(monkeypatch):
+    net = mixed_noisy_or_network()
+    z, y = net.var_id("Z"), net.var_id("Y")
+    assert 2 * 2 ** 2 <= NOISY_OR_TABLE_CELLS < 2 * 2 ** 12
+    root = prepare_dtree(net)
+    evidence = {z: 1, y: 1, net.var_id("X3"): 0}
+    expected = brute_force_probability(net, evidence)
+    for log_domain in (False, True):
+        assert rel_err(rc_query(net, root, evidence, log_domain=log_domain).probability,
+                       expected) <= 1e-12
+    leaf = {node.var: node.id for node in iter_nodes(root) if node.is_leaf}
+    tables = root.plan.tables
+    assert tables[leaf[z]] == expand_to_table(net, z).entries
+    assert tables[leaf[y]] is None  # too large: answered by NoisyOrCpt.prob
+    calls = count_noisy_or_calls(monkeypatch)
+    rc_query(net, root, evidence)
+    assert calls and set(calls) == {y}
+
+
+def test_grid_query_makes_no_noisy_or_calls(monkeypatch):
+    net = grid_network(4, seed=8, noisy_or=True)
+    assert sum(isinstance(cpt, NoisyOrCpt) for cpt in net.cpts) == 15
+    root = prepare_dtree(net)
+    rng = random.Random(8)
+    queries = [{v: rng.randrange(2) for v in rng.sample(range(net.n), 5)} for _ in range(4)]
+    expected = [brute_force_probability(net, evidence) for evidence in queries]
+    rc_query(net, root, queries[0])  # lowers the plan, which expands the tables
+    calls = count_noisy_or_calls(monkeypatch)
+    for evidence, want in zip(queries, expected):
+        for kb in (None, compile_kb(net)):
+            assert rel_err(rc_query(net, root, evidence, kb=kb).probability, want) <= 1e-12
+    assert calls == []
+    monkeypatch.setattr("rcnet.engine.NOISY_OR_TABLE_CELLS", 0)
+    root = prepare_dtree(net)  # a fresh plan, with every noisy-or leaf called out
+    assert rel_err(rc_query(net, root, queries[0]).probability, expected[0]) <= 1e-12
+    assert calls
 
 
 def test_linear_underflow_is_answered_in_the_log_domain():

@@ -18,7 +18,7 @@ from rcnet.randnet import random_evidence, random_network
 
 from helpers import gate_network
 
-from oracles import replay_kb
+from oracles import replay_kb, unit_closure
 
 
 def clause_key(clause):
@@ -253,6 +253,58 @@ def test_fuzz_against_replay_oracle():
         surviving = [l for _, lits in frames for l in lits]
         oracle = replay_kb(lambda: compile_kb(net), surviving)
         assert kb.snapshot() == oracle.snapshot()
+
+
+def networks_with_a_false_literal(rng, count):
+    """Random deterministic networks in which a clause holds (V != 0) on a
+    cardinality-1 V, a literal that is false from the start."""
+    found = []
+    while len(found) < count:
+        net = random_network(rng, max_vars=8, determinism=0.5)
+        if any(net.cards[l.var] == 1 for clause in compile_kb(net).clauses for l in clause):
+            found.append(net)
+    return found
+
+
+def test_fuzz_against_unit_closure_oracle():
+    rng = random.Random(36)
+    for net in networks_with_a_false_literal(rng, 6):
+        kb = compile_kb(net)
+        clauses = list(kb.clauses)
+        # frames of (token, asserts committed inside that frame)
+        frames: list[tuple[int, list[Literal]]] = [(kb.checkpoint(), [])]
+        for _ in range(300):
+            action = rng.random()
+            surviving = [l for _, lits in frames for l in lits]
+            if action < 0.6:
+                var = rng.randrange(net.n)
+                literal = Literal(var, rng.randrange(net.cards[var]), rng.random() < 0.7)
+                tok = kb.checkpoint()
+                if kb.assert_literal(literal):
+                    frames[-1][1].append(literal)
+                else:
+                    assert unit_closure(net.cards, clauses, surviving + [literal]) is None
+                    kb.retract_to(tok)
+            elif action < 0.8:
+                frames.append((kb.checkpoint(), []))
+            elif len(frames) > 1:
+                token, _ = frames.pop()
+                kb.retract_to(token)
+            surviving = [l for _, lits in frames for l in lits]
+            assert kb.domain == unit_closure(net.cards, clauses, surviving)
+            assert kb.audit() == []
+
+
+def test_handed_codes_build_the_same_kb_as_literals():
+    rng = random.Random(37)
+    for _ in range(20):
+        net = random_network(rng, max_vars=8, determinism=0.5)
+        compiled = compile_kb(net)
+        rebuilt = KnowledgeBase(net.cards, compiled.clauses)
+        assert rebuilt.clauses == compiled.clauses
+        assert rebuilt.mentioned == compiled.mentioned
+        assert rebuilt.domain == compiled.domain
+        assert rebuilt._lits == compiled._lits
 
 
 # --- soundness ---------------------------------------------------------
