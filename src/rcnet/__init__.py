@@ -31,7 +31,7 @@ from .engine import (
     lookup,
     rc_query,
 )
-from .kb import KnowledgeBase, Literal, compile_kb
+from .kb import KnowledgeBase, compile_kb
 from .model import (
     Network,
     NetworkFormatError,

@@ -97,31 +97,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CachePolicy:
-    """Which caches a query may fill: all live ones, none, or a cell budget."""
+    """How many cells of live caches a query may fill; None is no limit."""
 
-    mode: str  # "full" | "none" | "budget"
-    max_cells: int | None = None  # a budget's cells, None otherwise
+    max_cells: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("full", "none", "budget"):
-            raise ValueError(f"unknown cache policy mode {self.mode!r}")
-        if self.mode == "budget":
-            if not isinstance(self.max_cells, int) or self.max_cells < 0:
-                raise ValueError(f"cache budget must be a non-negative int, not {self.max_cells!r}")
-        elif self.max_cells is not None:
-            raise ValueError(f"a {self.mode} cache policy takes no cell budget")
+        if self.max_cells is not None and (type(self.max_cells) is not int or self.max_cells < 0):
+            raise ValueError(f"cache budget must be a non-negative int, not {self.max_cells!r}")
 
     @classmethod
     def full(cls) -> "CachePolicy":
-        return cls("full")
+        return cls(None)
 
     @classmethod
     def none(cls) -> "CachePolicy":
-        return cls("none")
+        return cls(0)
 
     @classmethod
     def budget(cls, max_cells: int) -> "CachePolicy":
-        return cls("budget", max_cells)
+        return cls(max_cells)
 
     @classmethod
     def parse(cls, text: str) -> "CachePolicy":
@@ -180,17 +174,14 @@ def apply_policy(root: DtreeNode, policy: CachePolicy) -> dict[int, str]:
 
     Dead caches stay dead under every policy.  A budget enables live
     candidates in ascending cell-count order (ties by node id) while
-    they fit.  The dtree itself is left untouched.
+    they fit; every live cache has a cell at least, so a budget of 0
+    enables none.  The dtree itself is left untouched.
     """
     states = {node.id: node.cache_state for node in iter_nodes(root)}
-    live = [node for node in iter_nodes(root) if states[node.id] == LIVE]
-    if policy.mode == "full":
-        return states
-    if policy.mode == "none":
-        for node in live:
-            states[node.id] = DISABLED
+    if policy.max_cells is None:
         return states
     allocated = 0
+    live = [node for node in iter_nodes(root) if states[node.id] == LIVE]
     for node in sorted(live, key=lambda t: (t.cells, t.id)):
         if allocated + node.cells <= policy.max_cells:
             allocated += node.cells
@@ -593,11 +584,17 @@ def rc_query(
     The dtree must be annotated (and normally dead-cache marked) for
     this network.  The cache policy defaults to full.  A supplied KB is
     used only to skip provably-zero cutset instantiations; it is
-    restored to its entry state before returning.  A linear answer below
-    LINEAR_FLOOR, zero included, that the KB has not refuted is answered
-    again in the log domain, and that result is returned.
+    restored to its entry state before returning.  A KB over other
+    cardinalities than the network's raises ValueError before anything
+    is asserted; one compiled from another network with the same
+    cardinalities but other CPTs cannot be told apart, and gives wrong
+    answers.  A linear answer below LINEAR_FLOOR, zero included, that
+    the KB has not refuted is answered again in the log domain, and that
+    result is returned.
     """
     validate_evidence(network, evidence)
+    if kb is not None and kb.cards != network.cards:
+        raise ValueError("the KB was compiled for a network with other cardinalities")
     plan = _plan_for(root, network)
     expected = [UNASSIGNED] * network.n
     for var, state in evidence.items():

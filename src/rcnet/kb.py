@@ -12,11 +12,14 @@ Detection is exact floating-point equality: near-zero entries are
 probabilities, not constraints.  Noisy-or CPTs contribute nothing.
 
 Each variable's domain is an int bitmask of its possible states.  A
-literal is the int code 2 * (offset[X] + x) + negative, and each code
-has its variable and the mask of the states it allows: bit x for
-(X = x), every other state's bit for (X != x).  Against its variable's
-domain d, a literal with mask m is falsified when d & m is 0, satisfied
-when d & ~m is 0, and asserted by d &= m, whatever its sign.
+literal is only ever an int code, 2 * (offset[X] + x) + negative, where
+offset[X] is the sum of the cardinalities of the variables before X:
+clauses are given and kept as codes, assert_literal takes one, and
+format_clauses decodes them for printing.  Each code has its variable
+and the mask of the states it allows: bit x for (X = x), every other
+state's bit for (X != x).  Against its variable's domain d, a literal
+with mask m is falsified when d & m is 0, satisfied when d & ~m is 0,
+and asserted by d &= m, whatever its sign.
 
 Propagation uses two watched literals per clause (Moskewicz et al.,
 "Chaff", DAC 2001).  A clause is looked at only when one of its two
@@ -41,50 +44,34 @@ to its checkpoint before asserting anything else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import Network, TabularCpt
 
 __all__ = [
-    "Literal",
     "KnowledgeBase",
     "compile_kb",
 ]
-
-
-@dataclass(frozen=True)
-class Literal:
-    var: int
-    state: int
-    positive: bool
-
-
-Clause = tuple[Literal, ...]
 
 
 class KnowledgeBase:
     """Clause set plus per-variable domain state supporting assert/retract.
 
     Single-threaded mutable state; one query owns one KB at a time.
-    `domain[v]` is variable v's bitmask of possible states,
-    `mentioned[v]` tells whether any clause has a literal on v, and
-    `positive[v][s]` is the literal (v = s).  Building a KB whose unit
-    clauses propagate to a contradiction raises ValueError.
+    A clause is a sequence of literal codes, and `clauses` holds each as
+    a tuple with its repeated codes dropped.  `domain[v]` is variable v's
+    bitmask of possible states, `mentioned[v]` tells whether any clause
+    has a literal on v, and `positive[v][s]` is the code of (v = s).
+    Building a KB from an empty clause, a code out of range, or unit
+    clauses that propagate to a contradiction raises ValueError.
     """
 
-    def __init__(self, cards: Iterable[int], clauses: Iterable[Clause] = (), *,
-                 codes: Iterable[Sequence[int]] | None = None):
-        """`codes`, when given, holds each clause's literal codes in the
-        clause's order, with no literal repeated, as compile_kb derives
-        them along with the clauses; without it every literal is checked
-        and coded here, and repeats are dropped."""
+    def __init__(self, cards: Iterable[int], clauses: Iterable[Iterable[int]] = ()):
         self.cards = tuple(cards)
         self.domain = [(1 << c) - 1 for c in self.cards]
         self.mentioned = [False] * len(self.cards)
-        self.positive = [[Literal(v, s, True) for s in range(c)]
-                         for v, c in enumerate(self.cards)]
-        self._base = _code_bases(self.cards)  # per variable X, the code of (X = 0)
+        bases = self._base = _code_bases(self.cards)  # per variable X, the code of (X = 0)
+        self.positive = [range(bases[v], bases[v + 1], 2) for v in range(len(self.cards))]
         # per literal code: its variable, and the mask of the states it allows
         self._lit_var = [v for v, c in enumerate(self.cards) for _ in range(2 * c)]
         masks = {c: [mask for s in range(c) for mask in (1 << s, ((1 << c) - 1) ^ (1 << s))]
@@ -93,56 +80,36 @@ class KnowledgeBase:
         self._watches: list[list[int]] = [[] for _ in self._lit_var]
         self._trail_var: list[int] = []
         self._trail_old: list[int] = []
-        if codes is None:
-            self.clauses, codes = self._coded(clauses)
-        else:
-            self.clauses = list(clauses)
-            codes = list(codes)
+        self.clauses: list[tuple[int, ...]] = []
         # per clause, the codes of its literals that are not false from the
         # start, (X != 0) on a cardinality-1 X being one; positions 0 and 1
         # are watched
         self._lits: list[list[int]] = []
         lit_var, allowed, watches = self._lit_var, self._lit_allowed, self._watches
         units = []
-        for idx, clause_codes in enumerate(codes):
-            lits = [c for c in clause_codes if allowed[c]]
-            self._lits.append(lits)
+        for idx, clause in enumerate(clauses):
+            codes = tuple(dict.fromkeys(clause))
+            if not codes:
+                raise ValueError("empty clause")
+            if min(codes) < 0 or max(codes) >= len(lit_var):
+                raise ValueError(f"literal code out of range in clause {codes}")
+            lits = [c for c in codes if allowed[c]]
             if len(lits) > 1:
                 watches[lits[0]].append(idx)
                 watches[lits[1]].append(idx)
             elif not lits:
                 raise ValueError("contradictory clause set")
             else:
-                units.append(self.clauses[idx][clause_codes.index(lits[0])])
-        for v in {lit_var[c] for clause_codes in codes for c in clause_codes}:
+                units.append(lits[0])
+            self.clauses.append(codes)
+            self._lits.append(lits)
+        for v in {lit_var[c] for codes in self.clauses for c in codes}:
             self.mentioned[v] = True
-        for literal in units:
-            if not self.assert_literal(literal):
+        for code in units:
+            if not self.assert_literal(code):
                 raise ValueError("contradictory clause set")
         self._trail_var.clear()
         self._trail_old.clear()
-
-    # -- construction ------------------------------------------------------
-
-    def _coded(self, clauses: Iterable[Clause]) -> tuple[list[Clause], list[list[int]]]:
-        """Each clause with its repeated literals dropped, and their codes."""
-        cards, bases = self.cards, self._base
-        kept_clauses, codes = [], []
-        for clause in clauses:
-            kept, clause_codes = [], []
-            for lit in clause:
-                var, state = lit.var, lit.state
-                if not (0 <= var < len(cards) and 0 <= state < cards[var]):
-                    raise ValueError(f"literal {lit} out of range")
-                c = bases[var] + 2 * state + (not lit.positive)
-                if c not in clause_codes:
-                    kept.append(lit)
-                    clause_codes.append(c)
-            if not kept:
-                raise ValueError("empty clause")
-            kept_clauses.append(tuple(kept))
-            codes.append(clause_codes)
-        return kept_clauses, codes
 
     @property
     def n_clauses(self) -> int:
@@ -162,8 +129,9 @@ class KnowledgeBase:
 
     # -- assertion and propagation -----------------------------------------
 
-    def assert_literal(self, literal: Literal) -> bool:
-        """Apply a literal and propagate; False means contradiction.
+    def assert_literal(self, code: int) -> bool:
+        """Apply the literal with this code and propagate; False means
+        contradiction.
 
         On contradiction the KB keeps the partially propagated state;
         retract_to() a prior checkpoint to recover.
@@ -171,7 +139,6 @@ class KnowledgeBase:
         domain, lit_var, allowed = self.domain, self._lit_var, self._lit_allowed
         watches, lits, bases = self._watches, self._lits, self._base
         trail_var, trail_old = self._trail_var, self._trail_old
-        code = bases[literal.var] + 2 * literal.state + (not literal.positive)
         stack = []  # watched literals falsified, whose clauses are not yet visited
         watching: list[int] = []  # the clauses watching lit, visited from i up to end
         lit = i = end = 0
@@ -295,12 +262,13 @@ class KnowledgeBase:
     def format_clauses(self, network: Network) -> str:
         """One clause per line, literals as name=label / name!=label."""
         lines = []
-        for clause in self.clauses:
+        for codes in self.clauses:
             parts = []
-            for lit in clause:
-                var = network.variables[lit.var]
-                op = "=" if lit.positive else "!="
-                parts.append(f"{var.name}{op}{var.states[lit.state]}")
+            for code in codes:
+                v = self._lit_var[code]
+                var = network.variables[v]
+                op = "!=" if code & 1 else "="
+                parts.append(f"{var.name}{op}{var.states[(code - self._base[v]) >> 1]}")
             lines.append(" ".join(parts))
         return "\n".join(lines)
 
@@ -311,24 +279,21 @@ def _code_bases(cards: Iterable[int]) -> list[int]:
     return list(itertools.accumulate((2 * card for card in cards), initial=0))
 
 
-def _clauses_from_cpt(cpt: TabularCpt, literals, bases) -> Iterable[tuple[Clause, tuple[int, ...]]]:
-    """The CPT's clauses, each with its literals' codes."""
-    card, entries, child, base = cpt.child_card, cpt.entries, literals[cpt.child], bases[cpt.child]
+def _clauses_from_cpt(cpt: TabularCpt, bases: list[int]) -> Iterable[tuple[int, ...]]:
+    """The CPT's clauses, as codes."""
+    card, entries, base = cpt.child_card, cpt.entries, bases[cpt.child]
     # rows run over the parents' instantiations in product order, so each
     # row's parent literals are one tuple of the product of the parents'
-    # negative literals, and their codes one of the product of their codes
-    negatives = [[states[False] for states in literals[p]] for p in cpt.parents]
-    negative_codes = [range(bases[p] + 1, bases[p + 1], 2) for p in cpt.parents]
-    rows = zip(itertools.product(*negatives), itertools.product(*negative_codes))
-    for row, (parent_lits, parent_codes) in enumerate(rows):
+    # negative codes
+    negatives = [range(bases[p] + 1, bases[p + 1], 2) for p in cpt.parents]
+    for row, parent_codes in enumerate(itertools.product(*negatives)):
         row_entries = entries[row * card : (row + 1) * card]
         if 1.0 in row_entries:
-            c = row_entries.index(1.0)
-            yield (child[c][True],) + parent_lits, (base + 2 * c,) + parent_codes
+            yield (base + 2 * row_entries.index(1.0),) + parent_codes
         elif 0.0 in row_entries:
             for c, p in enumerate(row_entries):
                 if p == 0.0:
-                    yield (child[c][False],) + parent_lits, (base + 2 * c + 1,) + parent_codes
+                    yield (base + 2 * c + 1,) + parent_codes
 
 
 def compile_kb(network: Network) -> KnowledgeBase:
@@ -336,21 +301,10 @@ def compile_kb(network: Network) -> KnowledgeBase:
 
     No clause repeats: two rows of one CPT differ on a parent literal,
     and two CPTs' clauses differ on the child's literal, which a clause
-    of the other CPT could only hold if the network had a cycle.  No
-    literal repeats within a clause either, as each is on another
-    variable of the family, so the clauses are handed over with their
-    codes.  Unit clauses (deterministic roots) propagate as the KB is
-    built; a validated network cannot contradict itself there.
+    of the other CPT could only hold if the network had a cycle.  Unit
+    clauses (deterministic roots) propagate as the KB is built; a
+    validated network cannot contradict itself there.
     """
-    # one Literal object per (var, state, sign), shared by every clause
-    literals = [[(Literal(v, s, False), Literal(v, s, True)) for s in range(card)]
-                for v, card in enumerate(network.cards)]
     bases = _code_bases(network.cards)
-    clauses: list[Clause] = []
-    codes: list[tuple[int, ...]] = []
-    for cpt in network.cpts:
-        if isinstance(cpt, TabularCpt):
-            for clause, clause_codes in _clauses_from_cpt(cpt, literals, bases):
-                clauses.append(clause)
-                codes.append(clause_codes)
-    return KnowledgeBase(network.cards, clauses, codes=codes)
+    return KnowledgeBase(network.cards, itertools.chain.from_iterable(
+        _clauses_from_cpt(cpt, bases) for cpt in network.cpts if isinstance(cpt, TabularCpt)))

@@ -154,3 +154,20 @@ def grid_doc(side: int, seed: int, noisy_or: bool = False) -> dict:
 
 def grid_network(side: int, seed: int, noisy_or: bool = False) -> Network:
     return parse_network(json.dumps(grid_doc(side, seed, noisy_or)))
+
+
+def literal_code(cards, var: int, state: int, positive: bool = True) -> int:
+    """The KB code of (var = state), or of (var != state) when not positive:
+    2 * (offset + state) + negative, where offset is the sum of the
+    cardinalities of the variables before var."""
+    return 2 * (sum(cards[:var]) + state) + (not positive)
+
+
+def literal_of(cards, code: int) -> tuple[int, int, bool]:
+    """(var, state, positive) of a KB literal code; inverts literal_code."""
+    state, negative = divmod(code, 2)
+    var = 0
+    while state >= cards[var]:
+        state -= cards[var]
+        var += 1
+    return var, state, not negative

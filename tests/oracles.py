@@ -14,6 +14,8 @@ from functools import lru_cache
 from rcnet import Network
 from rcnet.dtree import DtreeNode
 
+from helpers import literal_of
+
 
 def reference_build_dtree(network: Network, order: list[int]) -> DtreeNode:
     """Dtree from an elimination order by scanning every tree's variable
@@ -273,10 +275,11 @@ def elimination_cliques(adj: list[set[int]], order: list[int]) -> list[frozenset
 
 
 def replay_kb(kb_factory, surviving_asserts):
-    """Fresh KB with the surviving assertion sequence replayed onto it."""
+    """Fresh KB with the surviving assertion sequence, literal codes,
+    replayed onto it."""
     fresh = kb_factory()
-    for literal in surviving_asserts:
-        ok = fresh.assert_literal(literal)
+    for code in surviving_asserts:
+        ok = fresh.assert_literal(code)
         assert ok, "replay oracle hit a contradiction the original run survived"
     return fresh
 
@@ -284,28 +287,32 @@ def replay_kb(kb_factory, surviving_asserts):
 def unit_closure(cards, clauses, asserted):
     """Each variable's domain bitmask once unit resolution has run to its
     fixpoint over `clauses` and the `asserted` literals, or None on a
-    contradiction.  Domains are sets of states, and every clause is
+    contradiction.  Literals are codes, decoded from `cards` alone by
+    helpers.literal_of.  Domains are sets of states, and every clause is
     rescanned until a whole pass changes nothing; no watches."""
     domains = [set(range(card)) for card in cards]
 
-    def allowed(lit):
-        return {lit.state} if lit.positive else set(range(cards[lit.var])) - {lit.state}
+    def decode(code):
+        """(var, the states the literal allows)."""
+        var, state, positive = literal_of(cards, code)
+        return var, {state} if positive else set(range(cards[var])) - {state}
 
-    for lit in asserted:
-        domains[lit.var] &= allowed(lit)
-        if not domains[lit.var]:
+    for var, allowed in map(decode, asserted):
+        domains[var] &= allowed
+        if not domains[var]:
             return None
+    decoded = [[decode(code) for code in clause] for clause in clauses]
     changed = True
     while changed:
         changed = False
-        for clause in clauses:
-            open_lits = [lit for lit in clause if domains[lit.var] & allowed(lit)]
+        for clause in decoded:
+            open_lits = [(var, allowed) for var, allowed in clause if domains[var] & allowed]
             if not open_lits:
                 return None
             if len(open_lits) == 1:
-                lit = open_lits[0]
-                narrowed = domains[lit.var] & allowed(lit)
-                if narrowed != domains[lit.var]:
-                    domains[lit.var] = narrowed
+                var, allowed = open_lits[0]
+                narrowed = domains[var] & allowed
+                if narrowed != domains[var]:
+                    domains[var] = narrowed
                     changed = True
     return [sum(1 << s for s in domain) for domain in domains]

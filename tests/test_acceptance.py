@@ -5,6 +5,7 @@ with -s to see them on success) and enforces its stated tolerance and
 runtime budget.
 """
 
+import functools
 import json
 import math
 import random
@@ -15,7 +16,6 @@ import pytest
 from rcnet import (
     CachePolicy,
     KnowledgeBase,
-    Literal,
     annotate,
     brute_force_probability,
     build_dtree,
@@ -34,7 +34,14 @@ from rcnet.dtree import DEAD, LIVE, iter_nodes
 from rcnet.model import TabularCpt
 from rcnet.randnet import random_evidence, random_network
 
-from helpers import chain_network, gate_network, right_linear_shape, star_doc, star_network
+from helpers import (
+    chain_network,
+    gate_network,
+    literal_code,
+    right_linear_shape,
+    star_doc,
+    star_network,
+)
 from oracles import check_running_intersection, dtree_separators, replay_kb
 
 
@@ -65,11 +72,12 @@ def test_deterministic_cpt_clause_compilation():
     started = time.perf_counter()
     kb = compile_kb(gate_network())
     a, b, c = 0, 1, 2
+    lit = functools.partial(literal_code, kb.cards)
     expected = {
-        frozenset({Literal(c, 0, True), Literal(a, 0, False), Literal(b, 0, False)}),
-        frozenset({Literal(c, 1, True), Literal(a, 0, False), Literal(b, 1, False)}),
-        frozenset({Literal(c, 2, False), Literal(a, 1, False), Literal(b, 0, False)}),
-        frozenset({Literal(c, 2, False), Literal(a, 1, False), Literal(b, 1, False)}),
+        frozenset({lit(c, 0, True), lit(a, 0, False), lit(b, 0, False)}),
+        frozenset({lit(c, 1, True), lit(a, 0, False), lit(b, 1, False)}),
+        frozenset({lit(c, 2, False), lit(a, 1, False), lit(b, 0, False)}),
+        frozenset({lit(c, 2, False), lit(a, 1, False), lit(b, 1, False)}),
     }
     got = {frozenset(cl) for cl in kb.clauses}
     elapsed = time.perf_counter() - started
@@ -266,14 +274,14 @@ def test_unit_resolution_state_integrity():
     rng = random.Random(77)
     net = random_network(rng, max_vars=10, max_states=4, determinism=0.5)
     kb = compile_kb(net)
-    frames: list[tuple[int, list[Literal]]] = [(kb.checkpoint(), [])]
+    frames: list[tuple[int, list[int]]] = [(kb.checkpoint(), [])]
     checks = 0
     for step in range(10_000):
         action = rng.random()
         if action < 0.6:
             var = rng.randrange(net.n)
             state = rng.randrange(net.cards[var])
-            literal = Literal(var, state, rng.random() < 0.7)
+            literal = literal_code(net.cards, var, state, rng.random() < 0.7)
             tok = kb.checkpoint()
             if kb.assert_literal(literal):
                 frames[-1][1].append(literal)

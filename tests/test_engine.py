@@ -35,6 +35,7 @@ from helpers import (
     chain_network,
     gate_network,
     grid_network,
+    literal_of,
     random_shape,
     right_linear_shape,
     spine_chain_doc,
@@ -94,11 +95,11 @@ def test_policy_budget_extremes_match_none_and_full(chain):
 
 def test_invalid_policy_refused_when_made():
     for make in (lambda: CachePolicy("budget"), lambda: CachePolicy("bogus"),
-                 lambda: CachePolicy("full", 5), lambda: CachePolicy.budget(-1),
-                 lambda: CachePolicy.budget(2.5)):
+                 lambda: CachePolicy(-5), lambda: CachePolicy.budget(-1),
+                 lambda: CachePolicy.budget(2.5), lambda: CachePolicy.budget(True)):
         with pytest.raises(ValueError):
             make()
-    assert CachePolicy("budget", 0) == CachePolicy.budget(0)
+    assert CachePolicy(0) == CachePolicy.budget(0) == CachePolicy.none()
 
 
 def test_policy_budget_prefers_small_contexts():
@@ -281,13 +282,13 @@ def test_kb_preserves_probability_and_saves_calls():
 
 
 class CountingKnowledgeBase(KnowledgeBase):
-    """Records the literals a query asserts."""
+    """Records the literal codes a query asserts."""
 
     asserted: list
 
-    def assert_literal(self, literal):
-        self.asserted.append(literal)
-        return super().assert_literal(literal)
+    def assert_literal(self, code):
+        self.asserted.append(code)
+        return super().assert_literal(code)
 
 
 def counting(kb):
@@ -317,8 +318,18 @@ def test_kb_is_asked_only_about_mentioned_variables():
     assert unmentioned and len(unmentioned) < net.n
     res = rc_query(net, root, evidence, kb=kb)
     assert kb.asserted
-    assert all(kb.mentioned[lit.var] for lit in kb.asserted)
+    assert all(kb.mentioned[literal_of(net.cards, code)[0]] for code in kb.asserted)
     assert res.probability == rc_query(net, root, evidence).probability
+
+
+def test_kb_for_other_cardinalities_is_refused(gate, chain):
+    kb = compile_kb(gate)
+    before = kb.snapshot()
+    for net in (chain, grid_network(3, seed=1)):
+        with pytest.raises(ValueError, match="cardinalities"):
+            rc_query(net, prepare_dtree(net), {0: 1}, kb=kb)
+        assert kb.snapshot() == before
+        assert kb.checkpoint() == 0
 
 
 def test_kb_left_intact_after_query(gate):
@@ -471,7 +482,7 @@ def test_cache_cells_are_the_open_context_instantiations():
             res = rc_query(net, root, evidence, policy=policy)
             assert res.cache_cells == expected
             assert res.cache_misses <= res.cache_cells
-            if policy.mode == "budget":
+            if policy.max_cells is not None:
                 assert res.cache_cells <= policy.max_cells
 
 
