@@ -40,6 +40,16 @@ the same way; only larger noisy-or leaves and uncached internal children
 are called, so the recursion takes one Python frame per dtree level, and
 a deep dtree raises the recursion limit for the query alone.
 
+Without a knowledge base nothing is skipped, so every cell of every
+enabled cache is needed.  Each table is then filled before the root is
+expanded, in one walk of the same odometer with the node's open context
+as levels in front of its open cutset, and children before parents, so
+every lookup hits; uncached children are still called once per product.
+With a knowledge base the caches fill on demand, one call per miss,
+since which cells are needed depends on what the KB refutes along the
+path.  Both orders compute each filled cell once, from the same children
+in the same cutset order, so values and counters do not depend on it.
+
 With a knowledge base attached, each open variable's state is asserted
 once per instantiation of the open variables before it, under its own
 checkpoint, and retracted when the walk moves past it.  A contradiction
@@ -142,6 +152,7 @@ class QueryResult:
     kb_evidence_contradiction: bool = False
     log_domain: bool = False
     log_value: float | None = None  # natural log, kept exact in log-domain runs
+    # cells filled per dtree node id, nodes that filled none left out
     per_node_misses: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -162,6 +173,7 @@ class QueryResult:
                 "misses": self.cache_misses,
                 "written": self.entries_written,
                 "cells": self.cache_cells,
+                "per_node": {str(t): misses for t, misses in self.per_node_misses.items()},
             },
             "kb": {"enabled": self.kb_enabled, "skips": self.kb_skips},
             "kb_evidence_contradiction": self.kb_evidence_contradiction,
@@ -219,11 +231,11 @@ def lookup(network: Network, leaf: DtreeNode, assign: list[int],
 
 
 def _strides(variables, cards) -> tuple[dict[int, int], int]:
-    """Each variable's stride under the ascending-id, last-fastest convention,
+    """Each variable's stride, in the given order with the last fastest,
     and the number of instantiations."""
-    strides = {}
+    strides = {v: 0 for v in variables}  # dict.fromkeys would bypass the dict free list
     stride = 1
-    for v in sorted(variables, reverse=True):
+    for v in reversed(variables):
         strides[v] = stride
         stride *= cards[v]
     return strides, stride
@@ -241,16 +253,18 @@ class QueryPlan:
     noisy-or leaf too large to lower (NOISY_OR_TABLE_CELLS), which nothing
     indexes, have no variables and stride 0 at every position; a smaller
     noisy-or leaf is lowered to its expanded table and keyed like a
-    tabular one.  lone lists the tabular leaves whose variable is in no
-    other family, and cut_node[v] is the node whose cutset holds
-    variable v, or -1.  Queries never change a plan, except that the
-    first log-domain query fills in log_tables and the first query under
-    each cache policy records the caches it enables.
+    tabular one.  A live cache orders its cells by its context variables
+    outside p's cutset, ascending, then p's cutset, the last fastest.
+    lone lists the tabular leaves whose variable is in no other family,
+    and cut_node[v] is the node whose cutset holds variable v, or -1.
+    Queries never change a plan, except that the first log-domain query
+    fills in log_tables and the first query under each cache policy
+    records the caches it enables.
     """
 
     __slots__ = (
         "network", "root", "left", "right", "parent", "cutset", "cut_node", "keys",
-        "leaf_var", "lone", "tables", "log_tables", "height", "enabled",
+        "leaf_var", "lone", "tables", "log_tables", "height", "levels", "enabled",
     )
 
     def __init__(self, root: DtreeNode, network: Network):
@@ -281,8 +295,10 @@ class QueryPlan:
                 self.cutset[i] = tuple(sorted(node.cutset))
                 for v in self.cutset[i]:
                     self.cut_node[v] = i
-                if node.cache_state == LIVE:
-                    key = _strides(node.context, cards)[0]
+                if node.cache_state == LIVE:  # never the root
+                    cut = self.cutset[node.parent.id]
+                    key = _strides([v for v in sorted(node.context) if v not in cut] + [*cut],
+                                   cards)[0]
             else:
                 cpt = network.cpts[node.var]
                 for p in cpt.parents:
@@ -316,6 +332,9 @@ class QueryPlan:
             self.keys[i] = shared.setdefault(split, split)
         self.lone = tuple(lone)
         self.height = dtree_stats(root).height
+        # at least the most levels a walk has: a table fill walks a live
+        # cache's context in front of its cutset
+        self.levels = max(len(node.cluster) for node in nodes)
 
     def log_domain_tables(self) -> list[tuple[float, ...] | None]:
         if self.log_tables is None:
@@ -346,7 +365,8 @@ def _log_sum(terms: list[float]) -> float:
 
 def _enabled_caches(plan: QueryPlan, root: DtreeNode, policy: CachePolicy) -> tuple[int, ...]:
     """The ids of the nodes whose cache the policy enables, resolved by
-    apply_policy on the plan's first query under the policy."""
+    apply_policy on the plan's first query under the policy, in preorder:
+    _run_plan fills the tables in reverse, children first."""
     enabled = plan.enabled.get(policy)
     if enabled is None:
         states = apply_policy(root, policy)
@@ -411,7 +431,9 @@ def _open_query(plan: QueryPlan, enabled: tuple[int, ...], evidence: list[int],
         if open_cut is cut and all(evidence[v] < 0 for v in fixed):
             cells = math.prod([cards[v] for v in fixed + cut])
         else:  # observed variables keep their place in fixed, with stride 0
-            open_context = [v for v in fixed if evidence[v] < 0] + list(open_cut)
+            # [*open_cut], not list(open_cut): list() bypasses the list free
+            # list that the freed copy is then parked on, one per cache
+            open_context = [v for v in fixed if evidence[v] < 0] + [*open_cut]
             table, cells = _strides(open_context, cards)
             if keys is plan.keys:
                 keys = list(keys)
@@ -426,13 +448,23 @@ def _open_query(plan: QueryPlan, enabled: tuple[int, ...], evidence: list[int],
     return sources, keys, cuts
 
 
-def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: list[int],
-              kb: KnowledgeBase | None, log_domain: bool) -> tuple[float, int, int, int]:
+def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: list,
+              cuts: list, assign: list[int], kb: KnowledgeBase | None,
+              log_domain: bool) -> tuple[float, int, int, int]:
     """Value of the plan's root under `assign`, with the cache lookups,
     the cutset instantiations evaluated and the KB skips, over a query's
-    sources, keys and open cutsets (_open_query).  `assign` is back to its
-    entry state on return."""
-    left, right, leaf_var = plan.left, plan.right, plan.leaf_var
+    enabled caches, sources, keys and open cutsets (_open_query).
+    `assign` is back to its entry state on return.
+
+    Without a KB every cell of every enabled cache is needed, so each
+    table is filled in one walk, children first, before the root is
+    expanded, and every lookup hits.  With one, the caches fill on
+    demand: the KB's skips depend on the assignments along the path, and
+    a cell under a refuted branch is never computed.  Either way each
+    filled cell is computed once, from the same children in the same
+    cutset order, so the counters and values do not depend on the order.
+    """
+    left, right, parent, leaf_var = plan.left, plan.right, plan.parent, plan.leaf_var
     cpts = plan.network.cpts
     cards = plan.network.cards
     if kb is None:
@@ -445,9 +477,15 @@ def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: li
     empty = EMPTY
     lookups = evaluated = skips = 0
     # a level's checkpoint is kept only with a KB and two or more open levels;
-    # otherwise every token is -1, and this list, as long as any cutset,
-    # stands in for them all
-    no_tokens = [-1] * max(map(len, cuts))
+    # otherwise every token is -1, and this list, as long as any walk's
+    # levels, stands in for them all
+    no_tokens = [-1] * plan.levels
+    # a table fill's levels, values and log terms; fills never nest, so the
+    # query keeps one of each
+    fill_vars: list[int] = []
+    fill_l: list[int] = []
+    fill_r: list[int] = []
+    fill_terms: list[float] = []
 
     def leaf(t: int) -> float:
         """A leaf's value from its CPT: noisy-or leaves too large to lower,
@@ -462,40 +500,66 @@ def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: li
             return math.log(p) if p > 0.0 else LOG_ZERO
         return p
 
-    def expand(t: int) -> float:
-        """Sum over the open cutset of t of its children's product."""
+    def expand(t: int, table: array | None = None) -> float:
+        """Sum over the open cutset of t of its children's product; given
+        t's cache table, fill every cell of it instead."""
         nonlocal lookups, evaluated, skips
         l, r = left[t], right[t]
         lsource, rsource = sources[l], sources[r]
-        fixed, strides, lstep = keys[l]
+        lfixed, lstrides, lstep = keys[l]
+        rfixed, rstrides, rstep = keys[r]
+        open_vars = cuts[t]
+        ctx = 0  # the levels in front of the open cutset: t's open context
+        if table is not None:
+            # The open context goes in front, in the order of the table's
+            # cells (the open variables of t's fixed part, then its parent's
+            # open cutset, the last fastest), so the cell index counts up by
+            # one; on each of its variables a child's key moves by the stride
+            # its fixed part gives that variable.  Each starts at state 0,
+            # which the keys below are computed at.
+            fill_vars.clear()
+            fill_l.clear()
+            fill_r.clear()
+            for v in keys[t][0]:
+                if assign[v] < 0:
+                    fill_vars.append(v)
+            fill_vars.extend(cuts[parent[t]])
+            ctx = len(fill_vars)
+            for v in fill_vars:
+                assign[v] = 0
+                fill_l.append(lstrides[lfixed.index(v)] if v in lfixed else 0)
+                fill_r.append(rstrides[rfixed.index(v)] if v in rfixed else 0)
+            fill_vars.extend(open_vars)
+            fill_l.extend(lstep)
+            fill_r.extend(rstep)
+            open_vars, lstep, rstep = fill_vars, fill_l, fill_r
         kl = 0
         if lsource is None:
             lcall = expand if leaf_var[l] < 0 else leaf
         else:
-            for v, stride in zip(fixed, strides):
+            for v, stride in zip(lfixed, lstrides):
                 kl += assign[v] * stride
-        fixed, strides, rstep = keys[r]
         kr = 0
         if rsource is None:
             rcall = expand if leaf_var[r] < 0 else leaf
         else:
-            for v, stride in zip(fixed, strides):
+            for v, stride in zip(rfixed, rstrides):
                 kr += assign[v] * stride
-        # An odometer over the open cutset, the last variable fastest: level
-        # i holds open_vars[i] and, while a state of it is assigned, the
-        # checkpoint from which that state was asserted (-1 when nothing
-        # was).  kl and kr are the children's keys at the current states.
-        # A state the KB's domain excludes is skipped along with every
+        # An odometer over the levels, the last fastest: level i holds
+        # open_vars[i] and, while a state of it is assigned, the checkpoint
+        # from which that state was asserted (-1 when nothing was).  kl and
+        # kr are the children's keys at the current states.  A cell is
+        # complete when the open cutset's levels have all been walked.  A
+        # state the KB's domain excludes is skipped along with every
         # instantiation of the levels below it; a state the domain implies,
         # or any state of a variable no clause mentions, is assigned
         # without asking the KB.
-        open_vars = cuts[t]
         k = len(open_vars)
         last = k - 1
         tokens = [-1] * last if last > 0 and kb is not None else no_tokens
-        terms = [] if log_domain else None
+        terms = (fill_terms if table is not None else []) if log_domain else None
         total = 0.0
-        n = i = s = 0
+        n = i = s = cell = 0
         token = -1
         while True:
             if k:
@@ -504,6 +568,16 @@ def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: li
                     assign[v] = UNASSIGNED
                     kl -= s * lstep[i]
                     kr -= s * rstep[i]
+                    if i == ctx:  # the open cutset is walked: a cell is complete
+                        if table is None:
+                            break
+                        if log_domain:
+                            table[cell] = _log_sum(terms)
+                            terms.clear()
+                        else:
+                            table[cell] = total
+                            total = 0.0
+                        cell += 1
                     if i == 0:
                         break
                     i -= 1
@@ -552,8 +626,18 @@ def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: li
                 terms.append(a + b)
             else:
                 total += a * b
-            if not k:
-                break
+            if last < ctx:  # no open cutset: each product is a cell
+                if table is None:
+                    break
+                if log_domain:
+                    table[cell] = _log_sum(terms)
+                    terms.clear()
+                else:
+                    table[cell] = total
+                    total = 0.0
+                cell += 1
+                if not k:
+                    break
             if token >= 0:
                 retract_to(token)
             s += 1
@@ -564,6 +648,11 @@ def _run_plan(plan: QueryPlan, sources: list, keys: list, cuts: list, assign: li
         return _log_sum(terms) if log_domain else total
 
     try:
+        if kb is None:
+            # apply_policy lists the nodes in preorder, so in reverse every
+            # cache comes after all the caches below it
+            for t in reversed(enabled):
+                expand(t, sources[t])
         root = plan.root
         value = leaf(root) if leaf_var[root] >= 0 else expand(root)
         return value, lookups, evaluated, skips
@@ -625,7 +714,7 @@ def rc_query(
             enabled = _enabled_caches(plan, root, policy or CachePolicy.full())
             sources, keys, cuts = _open_query(plan, enabled, expected, evidence, log_domain)
             value, lookups, evaluated, skips = _run_plan(
-                plan, sources, keys, cuts, assign, kb, log_domain)
+                plan, enabled, sources, keys, cuts, assign, kb, log_domain)
         finally:
             if kb_token is not None:
                 kb.retract_to(kb_token)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from rcnet import parse_evidence, parse_network, prepare_dtree, rc_query
-from rcnet.dtree import annotate, dtree_from_json, induced_order
+from rcnet.dtree import LIVE, annotate, dtree_from_json, induced_order, iter_nodes
 from rcnet.cli import main
 from rcnet.spaces import ve_space
 
@@ -100,6 +100,21 @@ def test_query_reports_the_cache_cells_it_allocated(capsys, tmp_path):
     # the evidence fixes part of some context, so fewer cells than live ones
     assert 0 < cells < full["dtree"]["cache_cells_live"]
     assert none["query"]["cache"]["cells"] == 0
+
+
+@pytest.mark.parametrize("kb", ["off", "on"])
+def test_query_reports_cells_filled_per_node(capsys, tmp_path, kb):
+    doc = grid_doc(4, seed=2)
+    net_path = write_json(tmp_path, "grid.json", doc)
+    evidence = write_json(tmp_path, "e.json", {"G0_1": "1", "G3_2": "0"})
+    cache = run_json(capsys, ["query", "--net", net_path, "--evidence", evidence,
+                              "--kb", kb])["query"]["cache"]
+    per_node = cache["per_node"]
+    assert per_node and all(key.isdecimal() for key in per_node)
+    assert sum(per_node.values()) == cache["misses"] > 0
+    root = prepare_dtree(parse_network(json.dumps(doc)))
+    live = {str(node.id) for node in iter_nodes(root) if node.cache_state == LIVE}
+    assert set(per_node) <= live
 
 
 def test_query_kb_evidence_contradiction_flag(capsys, tmp_path, gate_file):

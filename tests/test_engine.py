@@ -507,7 +507,7 @@ def test_result_json_shape(gate):
     assert set(doc) == {
         "probability", "log10", "rc_calls", "cache", "kb", "kb_evidence_contradiction",
     }
-    assert set(doc["cache"]) == {"hits", "misses", "written", "cells"}
+    assert set(doc["cache"]) == {"hits", "misses", "written", "cells", "per_node"}
     assert set(doc["kb"]) == {"enabled", "skips"}
 
 
@@ -605,6 +605,83 @@ def test_work_counters_pinned_on_random_shapes(seed, policy, use_kb, log_domain,
     assert rel_err(res.probability, expected) <= (1e-9 if log_domain else 1e-12)
 
 
+def eager_cases():
+    """Seeded networks with noisy-or CPTs, zeros and cardinality-1
+    variables, each with its evidence, on a min-fill and on a random dtree."""
+    rng = random.Random(9100)
+    for _ in range(14):
+        net = random_network(rng, max_vars=9, max_states=3, determinism=0.3,
+                             noisy_or_prob=0.3, max_joint=6000)
+        evidence = random_evidence(rng, net, p_observe=0.35)
+        shaped = dtree_from_shape(net, random_shape(rng, net))
+        annotate(shaped)
+        mark_dead_caches(shaped)
+        yield net, evidence, prepare_dtree(net)
+        yield net, evidence, shaped
+
+
+@pytest.mark.parametrize("lower_noisy_or", [True, False])
+def test_eager_fills_match_the_demand_driven_walk(monkeypatch, lower_noisy_or):
+    # Without a KB every enabled cache is filled in one walk before the root
+    # is expanded; an empty KB keeps the demand-driven walk, one call per
+    # miss, which must have done exactly the same work.
+    if not lower_noisy_or:
+        monkeypatch.setattr("rcnet.engine.NOISY_OR_TABLE_CELLS", 0)
+    seen = set()
+    for net, evidence, root in eager_cases():
+        oracle = KnowledgeBase(net.cards, [])
+        expected = brute_force_probability(net, evidence)
+        live = dtree_stats(root).cache_cells_live
+        nodes = {node.id: node for node in iter_nodes(root)}
+        for policy in (CachePolicy.full(), CachePolicy.none(), CachePolicy.budget(live // 2)):
+            for log_domain in (False, True):
+                eager = rc_query(net, root, evidence, policy=policy, log_domain=log_domain)
+                demand = rc_query(net, root, evidence, policy=policy, kb=oracle,
+                                  log_domain=log_domain)
+                assert (eager.probability, eager.log_value) == (demand.probability,
+                                                                demand.log_value)
+                assert (eager.rc_calls, eager.cache_hits, eager.cache_misses,
+                        eager.entries_written, eager.cache_cells) == (
+                    demand.rc_calls, demand.cache_hits, demand.cache_misses,
+                    demand.entries_written, demand.cache_cells)
+                assert eager.per_node_misses == demand.per_node_misses
+                assert rel_err(eager.probability, expected) <= (1e-9 if log_domain else 1e-12)
+                # with no KB nothing is skipped: every enabled cell is filled
+                assert eager.cache_misses == eager.cache_cells
+            enabled = root.plan.enabled[policy]
+            seen.add("enabled" if enabled else "no cache")
+            if any(evidence.keys() & nodes[t].context for t in enabled):
+                seen.add("evidence on a context")
+        if any(evidence.keys() & node.cutset for node in iter_nodes(root)):
+            seen.add("evidence on a cutset")
+        if 1 in net.cards:
+            seen.add("cardinality 1")
+        if any(isinstance(cpt, NoisyOrCpt) for cpt in net.cpts):
+            seen.add("noisy-or")
+        if any(table is None for t, table in enumerate(root.plan.tables)
+               if root.plan.leaf_var[t] >= 0):
+            seen.add("leaf called out")
+    assert seen >= {"enabled", "no cache", "evidence on a context", "evidence on a cutset",
+                    "cardinality 1", "noisy-or"}
+    assert ("leaf called out" in seen) == (not lower_noisy_or)
+
+
+def test_caches_are_enabled_in_preorder():
+    # Without a KB the tables are filled in reverse of this order, so each is
+    # filled after every cache below it.
+    for net, _, root in eager_cases():
+        live = dtree_stats(root).cache_cells_live
+        for policy in (CachePolicy.full(), CachePolicy.budget(live // 2)):
+            rc_query(net, root, {}, policy=policy)
+            enabled = root.plan.enabled[policy]
+            position = {t: i for i, t in enumerate(enabled)}
+            for node in iter_nodes(root):
+                above = node.parent
+                while node.id in position and above is not None:
+                    assert position.get(above.id, -1) < position[node.id]
+                    above = above.parent
+
+
 def test_deep_dtree_query_restores_recursion_limit():
     n = 1199
     doc = spine_chain_doc(n, seed=12)
@@ -646,9 +723,14 @@ def test_query_leaves_no_cyclic_garbage():
 # Python heap high-water mark of the query below, in bytes, when every cache
 # was a list over the whole context, holding one boxed float per filled cell
 LIST_CACHE_PEAK = 119_704
+# the same when each cache miss was a call that filled one cell, before tables
+# were filled in one walk each
+CALL_PER_MISS_PEAK = 49_408
 
 
-def test_query_peak_memory_is_below_half_of_list_caches():
+def grid_query_peak():
+    """A KB-off query on a 9x9 grid, its answer outside tracemalloc, and
+    its heap high-water mark in bytes under it."""
     net = grid_network(9, seed=1)
     root = prepare_dtree(net)
     rng = random.Random(1)
@@ -663,9 +745,22 @@ def test_query_peak_memory_is_below_half_of_list_caches():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return res, expected, peak
+
+
+def test_query_peak_memory_is_below_half_of_list_caches():
+    res, expected, peak = grid_query_peak()
     assert res.probability == expected.probability
     assert res.cache_misses == 1776
     assert peak < LIST_CACHE_PEAK / 2
+
+
+def test_table_fills_add_no_query_memory():
+    # gc.collect() empties CPython's free lists, so a container made for each
+    # table fill stays counted on them after it is freed
+    res, _, peak = grid_query_peak()
+    assert res.cache_misses == res.cache_cells == 1776
+    assert peak <= 1.05 * CALL_PER_MISS_PEAK
 
 
 # Python heap held by the QueryPlan of the dtree below, in bytes, when the plan
