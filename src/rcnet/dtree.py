@@ -13,12 +13,11 @@ Annotations per node t, by definition:
     context(t)  vars(t) & acutset(t)
     cluster(t)  cutset | context (internal), vars(t) (leaf)
 
-annotate() stores cutset, context and cluster and no vars sets, so its
-memory is linear in the dtree's size; vars and acutset are properties
-computed when asked (from the leaves below, and along the parent
-chain).  With the leaves numbered left to right, and first(v) and
-last(v) the leftmost and rightmost leaves whose family mentions v,
-annotate() works bottom up:
+vars and acutset are definitions only: annotate() stores cutset, context
+and cluster and neither of them, so its memory is linear in the dtree's
+size.  With the leaves numbered left to right, and first(v) and last(v)
+the leftmost and rightmost leaves whose family mentions v, annotate()
+works bottom up:
 
     context(t)  the variables of t that also occur outside t's leaf
                 range [lo, hi]: a leaf's family variables with first(v)
@@ -123,28 +122,6 @@ class DtreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def vars(self) -> frozenset[int]:
-        """Variables of the families below this node: the union of its
-        leaves' clusters, gathered when asked."""
-        if self.is_leaf:
-            return self.cluster
-        out: set[int] = set()
-        for node in iter_nodes(self):
-            if node.is_leaf:
-                out |= node.cluster
-        return frozenset(out)
-
-    @property
-    def acutset(self) -> frozenset[int]:
-        """Union of the ancestors' cutsets, gathered along the parent chain."""
-        out: set[int] = set()
-        node = self.parent
-        while node is not None:
-            out |= node.cutset
-            node = node.parent
-        return frozenset(out)
 
     def __repr__(self) -> str:
         if self.is_leaf:

@@ -36,9 +36,10 @@ adds a level's stride to a key each time that level's state moves.
 Cache hits and misses, tabular leaves and leaves that sum to one are
 answered inside the walk.  A noisy-or leaf whose expanded table has at
 most NOISY_OR_TABLE_CELLS cells is lowered to that table and answered
-the same way; only larger noisy-or leaves and uncached internal children
-are called, so the recursion takes one Python frame per dtree level, and
-a deep dtree raises the recursion limit for the query alone.
+the same way; only uncached internal children are called, and lookup()
+answers the larger noisy-or leaves and a leaf root, so the recursion
+takes one Python frame per dtree level, and a deep dtree raises the
+recursion limit for the query alone.
 
 Without a knowledge base nothing is skipped, so every cell of every
 enabled cache is needed.  Each table is then filled before the root is
@@ -145,7 +146,6 @@ class QueryResult:
     rc_calls: int
     cache_hits: int
     cache_misses: int
-    entries_written: int
     cache_cells: int  # table cells allocated, 8 bytes each
     kb_enabled: bool = False
     kb_skips: int = 0
@@ -154,6 +154,11 @@ class QueryResult:
     log_value: float | None = None  # natural log, kept exact in log-domain runs
     # cells filled per dtree node id, nodes that filled none left out
     per_node_misses: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def entries_written(self) -> int:
+        """Cells written: every miss fills exactly one cell."""
+        return self.cache_misses
 
     @property
     def log10(self) -> float | None:
@@ -202,26 +207,27 @@ def apply_policy(root: DtreeNode, policy: CachePolicy) -> dict[int, str]:
     return states
 
 
-def lookup(network: Network, leaf: DtreeNode, assign: list[int],
+def lookup(network: Network, var: int, assign: list[int],
            log_domain: bool = False) -> float:
-    """Leaf value: Pr(x|u) when the leaf variable is assigned, else 1.
+    """Leaf value of variable `var`: Pr(x|u) when it is assigned, else 1.
 
     `assign` holds a state per variable id, UNASSIGNED where there is
     none, as in a query.  All parents must be assigned whenever the
     variable is; anything else means the dtree does not cover the family
-    and is malformed.
+    and is malformed.  The walk calls it for the leaves it does not read
+    from a table: a noisy-or leaf too large to lower, and a leaf root.
     """
-    x = assign[leaf.var]
+    x = assign[var]
     if x == UNASSIGNED:
         return 0.0 if log_domain else 1.0
-    cpt = network.cpts[leaf.var]
+    cpt = network.cpts[var]
     parent_states = []
     for p in cpt.parents:
         s = assign[p]
         if s == UNASSIGNED:
             raise RuntimeError(
                 f"parent {network.variables[p].name!r} unassigned at leaf lookup "
-                f"for {network.variables[leaf.var].name!r}; malformed dtree"
+                f"for {network.variables[var].name!r}; malformed dtree"
             )
         parent_states.append(s)
     p = cpt.prob(x, parent_states)
@@ -313,11 +319,7 @@ class QueryPlan:
                         and 2 * math.prod([cards[p] for p in cpt.parents]) <= NOISY_OR_TABLE_CELLS):
                     cpt = expand_to_table(network, node.var)
                 if isinstance(cpt, TabularCpt):
-                    key[node.var] = 1
-                    stride = cpt.child_card
-                    for p in reversed(cpt.parents):
-                        key[p] = stride
-                        stride *= cards[p]
+                    key = _strides([*cpt.parents, node.var], cards)[0]
                     self.tables[i] = cpt.entries
                     if node.var not in node.context:
                         lone.append(i)
@@ -465,15 +467,14 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
     cutset order, so the counters and values do not depend on the order.
     """
     left, right, parent, leaf_var = plan.left, plan.right, plan.parent, plan.leaf_var
-    cpts = plan.network.cpts
-    cards = plan.network.cards
+    network = plan.network
+    cards = network.cards
     if kb is None:
-        mentioned = bytes(plan.network.n)  # no variable: the KB is never asked
+        mentioned = bytes(network.n)  # no variable: the KB is never asked
         domain = positive = checkpoint = assert_literal = retract_to = None
     else:
         domain, mentioned, positive = kb.domain, kb.mentioned, kb.positive
         checkpoint, assert_literal, retract_to = kb.checkpoint, kb.assert_literal, kb.retract_to
-    one = 0.0 if log_domain else 1.0
     empty = EMPTY
     lookups = evaluated = skips = 0
     # a level's checkpoint is kept only with a KB and two or more open levels;
@@ -486,19 +487,6 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
     fill_l: list[int] = []
     fill_r: list[int] = []
     fill_terms: list[float] = []
-
-    def leaf(t: int) -> float:
-        """A leaf's value from its CPT: noisy-or leaves too large to lower,
-        and a leaf root."""
-        var = leaf_var[t]
-        x = assign[var]
-        if x < 0:
-            return one
-        cpt = cpts[var]
-        p = cpt.prob(x, [assign[q] for q in cpt.parents])
-        if log_domain:
-            return math.log(p) if p > 0.0 else LOG_ZERO
-        return p
 
     def expand(t: int, table: array | None = None) -> float:
         """Sum over the open cutset of t of its children's product; given
@@ -535,13 +523,13 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
             open_vars, lstep, rstep = fill_vars, fill_l, fill_r
         kl = 0
         if lsource is None:
-            lcall = expand if leaf_var[l] < 0 else leaf
+            lvar = leaf_var[l]
         else:
             for v, stride in zip(lfixed, lstrides):
                 kl += assign[v] * stride
         kr = 0
         if rsource is None:
-            rcall = expand if leaf_var[r] < 0 else leaf
+            rvar = leaf_var[r]
         else:
             for v, stride in zip(rfixed, rstrides):
                 kr += assign[v] * stride
@@ -610,14 +598,14 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
                     s = 0
                     continue
             n += 1
-            if lsource is None:
-                a = lcall(l)
+            if lsource is None:  # lookup is read from the module at each call
+                a = expand(l) if lvar < 0 else lookup(network, lvar, assign, log_domain)
             else:
                 a = lsource[kl]
                 if a == empty:
                     a = lsource[kl] = expand(l)
             if rsource is None:
-                b = rcall(r)
+                b = expand(r) if rvar < 0 else lookup(network, rvar, assign, log_domain)
             else:
                 b = rsource[kr]
                 if b == empty:
@@ -654,7 +642,8 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
             for t in reversed(enabled):
                 expand(t, sources[t])
         root = plan.root
-        value = leaf(root) if leaf_var[root] >= 0 else expand(root)
+        var = leaf_var[root]
+        value = lookup(network, var, assign, log_domain) if var >= 0 else expand(root)
         return value, lookups, evaluated, skips
     finally:
         expand = None  # expand refers to itself: break the cycle
@@ -703,7 +692,6 @@ def rc_query(
                             rc_calls=0,
                             cache_hits=0,
                             cache_misses=0,
-                            entries_written=0,
                             cache_cells=0,
                             kb_enabled=True,
                             kb_skips=0,
@@ -747,7 +735,6 @@ def rc_query(
         rc_calls=1 + 2 * evaluated,
         cache_hits=lookups - misses,
         cache_misses=misses,
-        entries_written=misses,
         cache_cells=cells,
         kb_enabled=kb is not None,
         kb_skips=skips,

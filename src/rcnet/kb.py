@@ -212,21 +212,7 @@ class KnowledgeBase:
         while len(trail_var) > token:
             domain[trail_var.pop()] = trail_old.pop()
 
-    # -- views and audits ------------------------------------------------
-
-    @property
-    def possible(self) -> list[set[int]]:
-        """Each variable's possible states, as sets."""
-        return [{s for s in range(c) if d >> s & 1} for d, c in zip(self.domain, self.cards)]
-
-    @property
-    def fixed(self) -> list[int | None]:
-        """Each variable's state when its domain is a single one, else None."""
-        return [d.bit_length() - 1 if d and not d & (d - 1) else None for d in self.domain]
-
-    def snapshot(self) -> tuple:
-        """Comparable copy of the full domain state (for tests)."""
-        return tuple(frozenset(d) for d in self.possible), tuple(self.fixed)
+    # -- audits ----------------------------------------------------------
 
     def audit(self) -> list[str]:
         """Watch invariants checked from scratch; empty when they hold.

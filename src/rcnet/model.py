@@ -381,10 +381,12 @@ def parse_evidence(text: str, network: Network) -> dict[int, int]:
 
 
 def validate_evidence(network: Network, evidence: Mapping[int, int]) -> None:
+    """Raise ValueError unless each key is a variable id and each value one
+    of its states, both ints; a bool is refused, not read as 0 or 1."""
     for var, state in evidence.items():
-        if not (isinstance(var, int) and 0 <= var < network.n):
+        if not (type(var) is int and 0 <= var < network.n):
             raise ValueError(f"evidence references unknown variable id {var!r}")
-        if not (isinstance(state, int) and 0 <= state < network.cards[var]):
+        if not (type(state) is int and 0 <= state < network.cards[var]):
             raise ValueError(
                 f"evidence state {state!r} out of range for variable "
                 f"{network.variables[var].name!r}"

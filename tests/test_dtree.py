@@ -153,7 +153,7 @@ def test_build_chain_explicit_order():
     root = build_dtree(net, [0, 2, 1])  # A, C, B
     stats = annotate(root)
     leaves = [n for n in iter_nodes(root) if n.is_leaf]
-    assert sorted(names(net, leaf.vars) for leaf in leaves) == [
+    assert sorted(names(net, leaf.cluster) for leaf in leaves) == [
         {"A"}, {"A", "B"}, {"B", "C"},
     ]
     assert stats.width == 1
@@ -223,8 +223,6 @@ def test_annotations_match_naive_recomputation():
         expected = naive_annotations(root, net)
         for node in iter_nodes(root):
             want = expected[node.id]
-            assert node.vars == want["vars"]
-            assert node.acutset == want["acutset"]
             assert node.cutset == want["cutset"]
             assert node.context == want["context"]
             assert node.cluster == want["cluster"]
@@ -236,18 +234,19 @@ def test_structural_invariants_on_random_networks():
         net = random_network(rng, max_vars=10)
         root = build_dtree(net, min_fill_order(net))
         annotate(root)
+        ann = naive_annotations(root, net)
         seen_leaf_vars = []
         for node in iter_nodes(root):
             assert node.cutset & node.context == frozenset()
             if node.is_leaf:
                 seen_leaf_vars.append(node.var)
-                assert node.cluster == node.vars
+                assert node.cluster == ann[node.id]["vars"]
             else:
                 assert node.cluster == node.cutset | node.context
-                assert (node.left.vars & node.right.vars) <= (node.cutset | node.acutset)
+                shared = ann[node.left.id]["vars"] & ann[node.right.id]["vars"]
+                assert shared <= node.cutset | ann[node.id]["acutset"]
             if node.parent is not None:
                 assert node.context <= node.parent.cluster
-                assert node.acutset == node.parent.acutset | node.parent.cutset
         assert sorted(seen_leaf_vars) == list(range(net.n))
         assert root.context == frozenset()
 

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import rcnet.engine
 from rcnet import (
     CachePolicy,
     KnowledgeBase,
@@ -33,7 +34,6 @@ from rcnet.randnet import random_evidence, random_network
 from helpers import (
     chain_doc,
     chain_network,
-    gate_network,
     grid_network,
     literal_of,
     random_shape,
@@ -52,31 +52,54 @@ def rel_err(a, b):
 # --- lookup ------------------------------------------------------------
 
 
-def gate_leaf_setup():
-    net = gate_network()
-    root = prepare_dtree(net)
-    leaf_c = next(n for n in iter_nodes(root) if n.is_leaf and n.var == 2)
-    return net, leaf_c
+C = 2  # the gate's child, with parents A and B
 
 
-def test_lookup_assigned_child():
-    net, leaf = gate_leaf_setup()
-    assert lookup(net, leaf, [0, 1, 1]) == 1.0  # A=1, B=2, C=2
-    assert lookup(net, leaf, [1, 0, 1]) == 0.8  # A=2, B=1, C=2
+def test_lookup_assigned_child(gate):
+    assert lookup(gate, C, [0, 1, 1]) == 1.0  # A=1, B=2, C=2
+    assert lookup(gate, C, [1, 0, 1]) == 0.8  # A=2, B=1, C=2
 
 
-def test_lookup_unassigned_child_sums_out():
-    net, leaf = gate_leaf_setup()
+def test_lookup_unassigned_child_sums_out(gate):
     assign = [1, 0, UNASSIGNED]
-    assert lookup(net, leaf, assign) == 1.0
-    assert lookup(net, leaf, assign, log_domain=True) == 0.0
+    assert lookup(gate, C, assign) == 1.0
+    assert lookup(gate, C, assign, log_domain=True) == 0.0
 
 
-def test_lookup_missing_parent_aborts():
-    net, leaf = gate_leaf_setup()
+def test_lookup_missing_parent_aborts(gate):
     assign = [UNASSIGNED, UNASSIGNED, 0]  # C assigned, parents not
     with pytest.raises(RuntimeError, match="malformed dtree"):
-        lookup(net, leaf, assign)
+        lookup(gate, C, assign)
+
+
+def test_walk_calls_lookup_for_the_leaves_it_reads_no_table_of(monkeypatch):
+    # a noisy-or family of 2 * 3**8 cells, above NOISY_OR_TABLE_CELLS, and a
+    # one-variable network, whose root is a leaf
+    star = star_network(8, parent_card=3)
+    assert 2 * 3**8 > NOISY_OR_TABLE_CELLS
+    single = parse_network(json.dumps({
+        "variables": [{"name": "A", "states": ["0", "1"]}],
+        "cpts": [{"child": "A", "parents": [], "kind": "table", "table": [0.4, 0.6]}],
+    }))
+    y = star.var_id("Y")
+    cases = [(star, {y: 1}), (star, {y: 0, 0: 2}), (single, {0: 1}), (single, {})]
+    roots = [prepare_dtree(net) for net, _ in cases]
+    plain = [rc_query(net, root, evidence) for (net, evidence), root in zip(cases, roots)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(rcnet.engine, "lookup", counted)
+    for (net, evidence), root, want in zip(cases, roots, plain):
+        calls.clear()
+        got = rc_query(net, root, evidence)
+        assert got.probability == want.probability
+        assert got.rc_calls == want.rc_calls
+        assert calls and set(calls) == {y if net is star else 0}
+    assert plain[2].probability == 0.6
+    assert rel_err(plain[0].probability, brute_force_probability(star, {y: 1})) <= 1e-9
 
 
 # --- cache policies ----------------------------------------------------
@@ -182,6 +205,17 @@ def test_evidence_validation(gate):
         rc_query(gate, root, {9: 0})
     with pytest.raises(ValueError, match="out of range"):
         rc_query(gate, root, {2: 5})
+
+
+def test_bool_evidence_is_refused(gate):
+    # True == 1, so an accepted bool would read as variable or state 1
+    root = prepare_dtree(gate)
+    with pytest.raises(ValueError, match="out of range"):
+        rc_query(gate, root, {0: True})
+    with pytest.raises(ValueError, match="unknown variable"):
+        rc_query(gate, root, {True: 0})
+    with pytest.raises(ValueError):
+        brute_force_probability(gate, {False: False})
 
 
 # --- randomized oracle equivalence --------------------------------------
@@ -324,22 +358,22 @@ def test_kb_is_asked_only_about_mentioned_variables():
 
 def test_kb_for_other_cardinalities_is_refused(gate, chain):
     kb = compile_kb(gate)
-    before = kb.snapshot()
+    before = list(kb.domain)
     for net in (chain, grid_network(3, seed=1)):
         with pytest.raises(ValueError, match="cardinalities"):
             rc_query(net, prepare_dtree(net), {0: 1}, kb=kb)
-        assert kb.snapshot() == before
+        assert kb.domain == before
         assert kb.checkpoint() == 0
 
 
 def test_kb_left_intact_after_query(gate):
     root = prepare_dtree(gate)
     kb = compile_kb(gate)
-    before = kb.snapshot()
+    before = (list(kb.domain), kb.checkpoint())
     rc_query(gate, root, {2: 1}, kb=kb)
-    assert kb.snapshot() == before
+    assert (kb.domain, kb.checkpoint()) == before
     rc_query(gate, root, {0: 0, 1: 0, 2: 1}, kb=kb)  # contradictory evidence
-    assert kb.snapshot() == before
+    assert (kb.domain, kb.checkpoint()) == before
 
 
 def test_kb_evidence_contradiction_short_circuits(gate):
@@ -489,13 +523,13 @@ def test_cache_cells_are_the_open_context_instantiations():
 def test_query_leaves_dtree_untouched(gate):
     root = prepare_dtree(gate)
     before = [
-        (n.id, n.cache_state, n.vars, n.cutset, n.context, n.cluster)
+        (n.id, n.cache_state, n.cutset, n.context, n.cluster)
         for n in iter_nodes(root)
     ]
     rc_query(gate, root, {2: 1}, policy=CachePolicy.none())
     rc_query(gate, root, {2: 1}, policy=CachePolicy.budget(1))
     after = [
-        (n.id, n.cache_state, n.vars, n.cutset, n.context, n.cluster)
+        (n.id, n.cache_state, n.cutset, n.context, n.cluster)
         for n in iter_nodes(root)
     ]
     assert before == after

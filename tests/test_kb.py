@@ -65,7 +65,7 @@ def test_deterministic_root_yields_unit_clause():
     kb = compile_kb(net)
     assert clause_key((literal_code(kb.cards, 0, 1),)) in {clause_key(cl) for cl in kb.clauses}
     # the unit clause propagates at compile time
-    assert kb.fixed[0] == 1
+    assert kb.domain[0] == 0b10
 
 
 def test_noisy_or_contributes_no_clauses():
@@ -125,7 +125,7 @@ def test_unit_resolution_forces_gate_child(gate):
     kb = compile_kb(gate)
     assert kb.assert_literal(literal_code(kb.cards, 0, 0))  # A=1
     assert kb.assert_literal(literal_code(kb.cards, 1, 0))  # B=1
-    assert kb.fixed[2] == 0              # C forced to state "1"
+    assert kb.domain[2] == 0b001         # C forced to state "1"
 
 
 def test_contradiction_after_forced_value(gate):
@@ -135,44 +135,44 @@ def test_contradiction_after_forced_value(gate):
     assert kb.assert_literal(literal_code(kb.cards, 1, 0))
     assert not kb.assert_literal(literal_code(kb.cards, 2, 1))  # C=2 conflicts with forced C=1
     kb.retract_to(token)
-    assert kb.snapshot() == compile_kb(gate).snapshot()
+    assert kb.domain == compile_kb(gate).domain
+    assert kb.checkpoint() == token
 
 
 def test_empty_kb_accepts_everything():
     kb = KnowledgeBase([2, 3])
     assert kb.assert_literal(literal_code(kb.cards, 0, 1))
     assert kb.assert_literal(literal_code(kb.cards, 1, 2, False))
-    assert kb.fixed[0] == 1
-    assert kb.possible[1] == {0, 1}
+    assert kb.domain == [0b10, 0b011]
 
 
 def test_negative_literal_shrinks_domain_and_collapses():
     kb = KnowledgeBase([3])
     assert kb.assert_literal(literal_code(kb.cards, 0, 0, False))
-    assert kb.fixed[0] is None
+    assert kb.domain[0] == 0b110
     assert kb.assert_literal(literal_code(kb.cards, 0, 1, False))
-    assert kb.fixed[0] == 2  # singleton domain collapses to a positive fix
+    assert kb.domain[0] == 0b100  # singleton domain: a positive fix
 
 
 def test_domain_empty_is_contradiction():
     kb = KnowledgeBase([2])
     assert kb.assert_literal(literal_code(kb.cards, 0, 0, False))
-    assert kb.fixed[0] == 1
+    assert kb.domain[0] == 0b10
     assert not kb.assert_literal(literal_code(kb.cards, 0, 1, False))
 
 
 def test_asserting_satisfied_literal_is_noop(gate):
     kb = compile_kb(gate)
     assert kb.assert_literal(literal_code(kb.cards, 0, 0))
-    snap = kb.snapshot()
+    snap, token = list(kb.domain), kb.checkpoint()
     assert kb.assert_literal(literal_code(kb.cards, 0, 0))
-    assert kb.snapshot() == snap
+    assert (kb.domain, kb.checkpoint()) == (snap, token)
 
 
 def test_cardinality_one_variable_is_known_from_the_start():
     # V0 has one state, so (V0 != 0) is false and the clause forces V1 = 0
     kb = KnowledgeBase([1, 2], [(literal_code([1, 2], 1, 0), literal_code([1, 2], 0, 0, False))])
-    assert kb.fixed == [0, 0]
+    assert kb.domain == [0b1, 0b01]
     assert kb.audit() == []
 
 
@@ -181,16 +181,16 @@ def test_cardinality_one_variable_is_known_from_the_start():
 
 def test_checkpoints_unwind_lifo(gate):
     kb = compile_kb(gate)
-    base = kb.snapshot()
+    base = list(kb.domain)
     t1 = kb.checkpoint()
     kb.assert_literal(literal_code(kb.cards, 0, 0))
-    mid = kb.snapshot()
+    mid = list(kb.domain)
     t2 = kb.checkpoint()
     kb.assert_literal(literal_code(kb.cards, 1, 0))
     kb.retract_to(t2)
-    assert kb.snapshot() == mid
+    assert (kb.domain, kb.checkpoint()) == (mid, t2)
     kb.retract_to(t1)
-    assert kb.snapshot() == base
+    assert (kb.domain, kb.checkpoint()) == (base, t1)
 
 
 def test_stale_token_rejected():
@@ -261,7 +261,7 @@ def test_fuzz_against_replay_oracle():
             kb.retract_to(token)
         surviving = [l for _, lits in frames for l in lits]
         oracle = replay_kb(lambda: compile_kb(net), surviving)
-        assert kb.snapshot() == oracle.snapshot()
+        assert kb.domain == oracle.domain
 
 
 def networks_with_a_false_literal(rng, count):
@@ -356,14 +356,14 @@ def test_query_propagates_a_long_copy_chain():
     res = rc_query(net, root, {299: 1}, kb=kb)  # asserting X299 fixes all 300
     assert sys.getrecursionlimit() == limit
     assert res.probability == pytest.approx(0.5, rel=1e-12)
-    assert kb.fixed == [None] * 300
+    assert kb.domain == [0b11] * 300
 
 
 def test_compile_propagates_a_long_deterministic_chain():
     limit = sys.getrecursionlimit()
     kb = compile_kb(copy_chain(1000, [0.0, 1.0]))  # the root's unit clause fixes all
     assert sys.getrecursionlimit() == limit
-    assert kb.fixed == [1] * 1000
+    assert kb.domain == [0b10] * 1000
     assert kb.audit() == []
 
 
