@@ -12,14 +12,14 @@ The walk runs over a QueryPlan, lists indexed by node id that are
 lowered once per annotated dtree and network and kept on the dtree's
 root (DtreeNode.plan) until annotate() or mark_dead_caches() runs again
 or another network object is queried: each node's children, its cutset
-as a sorted tuple, and each node's key as its parent sees it.  A key
-indexes a live cache by its context, or a tabular leaf's CPT entries by
-its family, and is split in two: the variables outside the parent's
-cutset, with their strides, and one stride per position of the parent's
-cutset.  Log-domain leaf tables are added the first time a log-domain
-query needs them, and the caches a cache policy enables (apply_policy
-over the dead-cache marks) the first time a query runs under that
-policy.
+(the ascending tuple annotate() stored, not a copy), and each node's key
+as its parent sees it.  A key indexes a live cache by its context, or a
+tabular leaf's CPT entries by its family, and is split in two: the
+variables outside the parent's cutset, with their strides, and one
+stride per position of the parent's cutset.  Log-domain leaf tables are
+added the first time a log-domain query needs them, and the caches a
+cache policy enables (apply_policy over the dead-cache marks) the first
+time a query runs under that policy.
 
 Each query builds only what depends on it: the cache tables, one
 assignment list, its counters, and copies of the keys and cutsets its
@@ -251,21 +251,22 @@ class QueryPlan:
     """An annotated dtree lowered for one network into lists indexed by node id.
 
     Leaves have left == right == -1; internal nodes have leaf_var == -1.
-    keys[c] is node c's key as its parent p sees it, a triple: the key's
-    variables outside p's cutset, their strides, and one stride per
-    position of p's cutset.  The key of a live cache covers its context,
-    and that of a tabular leaf the index of its family's entry in the
-    CPT; both hold every variable of p's cutset.  A dead cache and a
-    noisy-or leaf too large to lower (NOISY_OR_TABLE_CELLS), which nothing
-    indexes, have no variables and stride 0 at every position; a smaller
-    noisy-or leaf is lowered to its expanded table and keyed like a
-    tabular one.  A live cache orders its cells by its context variables
-    outside p's cutset, ascending, then p's cutset, the last fastest.
-    lone lists the tabular leaves whose variable is in no other family,
-    and cut_node[v] is the node whose cutset holds variable v, or -1.
-    Queries never change a plan, except that the first log-domain query
-    fills in log_tables and the first query under each cache policy
-    records the caches it enables.
+    cutset[t] is node t's annotated cutset itself, an ascending tuple of
+    variable ids (empty at a leaf).  keys[c] is node c's key as its parent
+    p sees it, a triple: the key's variables outside p's cutset, their
+    strides, and one stride per position of p's cutset.  The key of a live
+    cache covers its context, and that of a tabular leaf the index of its
+    family's entry in the CPT; both hold every variable of p's cutset.  A
+    dead cache and a noisy-or leaf too large to lower
+    (NOISY_OR_TABLE_CELLS), which nothing indexes, have no variables and
+    stride 0 at every position; a smaller noisy-or leaf is lowered to its
+    expanded table and keyed like a tabular one.  A live cache orders its
+    cells by its context variables outside p's cutset, ascending, then p's
+    cutset, the last fastest.  lone lists the tabular leaves whose variable
+    is in no other family, and cut_node[v] is the node whose cutset holds
+    variable v, or -1.  Queries never change a plan, except that the first
+    log-domain query fills in log_tables and the first query under each
+    cache policy records the caches it enables.
     """
 
     __slots__ = (
@@ -298,13 +299,12 @@ class QueryPlan:
             if not node.is_leaf:
                 self.left[i] = node.left.id
                 self.right[i] = node.right.id
-                self.cutset[i] = tuple(sorted(node.cutset))
-                for v in self.cutset[i]:
+                self.cutset[i] = node.cutset
+                for v in node.cutset:
                     self.cut_node[v] = i
                 if node.cache_state == LIVE:  # never the root
-                    cut = self.cutset[node.parent.id]
-                    key = _strides([v for v in sorted(node.context) if v not in cut] + [*cut],
-                                   cards)[0]
+                    cut = node.parent.cutset
+                    key = _strides([v for v in node.context if v not in cut] + [*cut], cards)[0]
             else:
                 cpt = network.cpts[node.var]
                 for p in cpt.parents:

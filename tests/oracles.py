@@ -226,16 +226,18 @@ def forward_log_probability(doc, evidence_by_name):
     return log_scale
 
 
-def dtree_separators(root: DtreeNode) -> list[tuple[DtreeNode, frozenset[int]]]:
+def dtree_separators(root: DtreeNode) -> list[tuple[DtreeNode, tuple[int, ...]]]:
     """(t, cluster(t) & cluster(parent(t))) for every non-root node t, in
-    preorder: the separators of the jointree whose clusters are the dtree
-    clusters, found from the clusters alone."""
+    preorder, each separator an ascending tuple: the separators of the
+    jointree whose clusters are the dtree clusters, found from the
+    clusters alone."""
     out = []
     stack = [root]
     while stack:
         node = stack.pop()
         if node.parent is not None:
-            out.append((node, node.cluster & node.parent.cluster))
+            above = set(node.parent.cluster)
+            out.append((node, tuple(sorted(v for v in node.cluster if v in above))))
         if node.left is not None:
             stack += (node.right, node.left)
     return out

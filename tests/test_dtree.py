@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import random
@@ -158,7 +159,7 @@ def test_build_chain_explicit_order():
     ]
     assert stats.width == 1
     assert names(net, root.cutset) == {"B"}
-    assert root.context == frozenset()
+    assert root.context == ()
     internal = [n for n in iter_nodes(root) if not n.is_leaf and n is not root]
     assert len(internal) == 1
     assert names(net, internal[0].cutset) == {"A"}
@@ -183,7 +184,7 @@ def test_build_disconnected_components_fold_with_empty_cutset():
     root = build_dtree(net, [0, 1])
     annotate(root)
     assert not root.is_leaf
-    assert root.cutset == frozenset()
+    assert root.cutset == ()
 
 
 def random_orders(rng, count):
@@ -223,9 +224,9 @@ def test_annotations_match_naive_recomputation():
         expected = naive_annotations(root, net)
         for node in iter_nodes(root):
             want = expected[node.id]
-            assert node.cutset == want["cutset"]
-            assert node.context == want["context"]
-            assert node.cluster == want["cluster"]
+            assert node.cutset == tuple(sorted(want["cutset"]))
+            assert node.context == tuple(sorted(want["context"]))
+            assert node.cluster == tuple(sorted(want["cluster"]))
 
 
 def test_structural_invariants_on_random_networks():
@@ -237,18 +238,18 @@ def test_structural_invariants_on_random_networks():
         ann = naive_annotations(root, net)
         seen_leaf_vars = []
         for node in iter_nodes(root):
-            assert node.cutset & node.context == frozenset()
+            assert set(node.cutset).isdisjoint(node.context)
             if node.is_leaf:
                 seen_leaf_vars.append(node.var)
-                assert node.cluster == ann[node.id]["vars"]
+                assert node.cluster == tuple(sorted(ann[node.id]["vars"]))
             else:
-                assert node.cluster == node.cutset | node.context
+                assert node.cluster == tuple(sorted(node.cutset + node.context))
                 shared = ann[node.left.id]["vars"] & ann[node.right.id]["vars"]
-                assert shared <= node.cutset | ann[node.id]["acutset"]
+                assert shared <= set(node.cutset) | ann[node.id]["acutset"]
             if node.parent is not None:
-                assert node.context <= node.parent.cluster
+                assert set(node.context) <= set(node.parent.cluster)
         assert sorted(seen_leaf_vars) == list(range(net.n))
-        assert root.context == frozenset()
+        assert root.context == ()
 
 
 def test_annotate_memory_is_linear_on_a_deep_chain():
@@ -266,14 +267,39 @@ def test_annotate_memory_is_linear_on_a_deep_chain():
 
 
 def test_annotate_shares_equal_variable_sets():
-    # each frozenset costs 216 bytes or more, so equal sets of one node are one object
+    # equal annotations of one dtree, of one node or of several, are one tuple
     nodes = list(iter_nodes(prepare_dtree(grid_network(9, seed=1))))
     sets = [s for t in nodes for s in (t.cutset, t.context, t.cluster)]
     assert len({id(s) for s in sets if not s}) == 1
+    assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
     leaves = [t for t in nodes if t.is_leaf and t.context == t.cluster]
     assert len(leaves) == 80 and all(t.context is t.cluster for t in leaves)
     uncut = [t for t in nodes if not t.is_leaf and not t.cutset]
     assert uncut and all(t.cluster is t.context for t in uncut)
+
+
+# Python heap held by the annotations of the dtree below, in bytes, when
+# annotate() stored each node's cutset, context and cluster as a frozenset
+FROZENSET_ANNOTATION_BYTES = 107_544
+
+
+def test_annotations_take_less_memory_than_frozensets():
+    net = grid_network(9, seed=1)
+    order = min_fill_order(net)
+    prepare_dtree(net, order)  # first-use allocations outside the window
+    root = build_dtree(net, order)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        annotate(root)
+        mark_dead_caches(root)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.3 * FROZENSET_ANNOTATION_BYTES
+    assert dtree_stats(root).cache_cells_live > 0  # measured while alive
 
 
 def test_prepares_and_answers_a_5000_variable_chain():
@@ -295,7 +321,7 @@ def test_root_context_always_empty():
     net = gate_network()
     root = build_dtree(net, min_fill_order(net))
     annotate(root)
-    assert root.context == frozenset()
+    assert root.context == ()
 
 
 def test_width_bounds_exact_treewidth():
@@ -333,11 +359,11 @@ def test_induced_order_cliques_fit_the_eliminating_clusters():
         order = induced_order(root)
         assert sorted(order) == list(range(net.n))
         eliminated_at = {
-            v: node for node in iter_nodes(root) for v in node.cluster - node.context
+            v: node for node in iter_nodes(root) for v in set(node.cluster) - set(node.context)
         }
         # so the order's induced width is at most the dtree's width
         for v, clique in zip(order, elimination_cliques(moral_graph(net), order)):
-            assert clique <= eliminated_at[v].cluster
+            assert clique <= set(eliminated_at[v].cluster)
 
 
 def test_context_width_at_most_width_plus_one():
@@ -389,7 +415,7 @@ def test_star_spine_contexts_grow():
         node = node.right
     assert [names(net, t.context) for t in spine] == [set(), {"X1"}, {"X1", "X2"}]
     for child, parent in zip(spine[1:], spine):
-        assert child.context >= parent.context
+        assert set(child.context) >= set(parent.context)
 
 
 def test_dead_rule_is_exact_and_live_caches_exist():
@@ -406,7 +432,7 @@ def test_dead_rule_is_exact_and_live_caches_exist():
         for node in iter_nodes(root):
             if node.is_leaf or node.parent is None:
                 continue
-            if node.context >= node.parent.context:
+            if set(node.context) >= set(node.parent.context):
                 assert node.cache_state == DEAD
             else:
                 assert node.cache_state == LIVE  # context omits a parent-context var

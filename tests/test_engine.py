@@ -429,7 +429,7 @@ def test_disconnected_network_empty_cutsets():
         ],
     }))
     root = prepare_dtree(net)
-    assert root.cutset == frozenset()
+    assert root.cutset == ()
     assert rc_query(net, root, {}).probability == pytest.approx(1.0, abs=1e-12)
     assert rc_query(net, root, {0: 1, 1: 2}).probability == pytest.approx(0.42, rel=1e-12)
 
@@ -472,7 +472,7 @@ def copy_gate():
     annotate(root)
     mark_dead_caches(root)
     live = [n for n in iter_nodes(root) if n.cache_state == LIVE]
-    assert [n.context for n in live] == [frozenset({0})]
+    assert [n.context for n in live] == [(0,)]
     return net, root, live[0]
 
 

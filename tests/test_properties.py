@@ -1,6 +1,7 @@
 """Property test: every query mode agrees with enumeration on random
-deterministic networks and dtree shapes, and the KB comes back from every
-query as it went in, a query that raises included."""
+deterministic networks and dtree shapes, the KB comes back from every
+query as it went in, a query that raises included, and every drawn
+dtree's annotations are ascending tuples that match their definitions."""
 
 import math
 import random
@@ -20,9 +21,15 @@ from rcnet import (
     prepare_dtree,
     rc_query,
 )
+from rcnet.dtree import iter_nodes
 from rcnet.randnet import random_evidence, random_network
 
 from helpers import random_shape
+from oracles import naive_annotations
+
+
+def is_ascending_tuple(ids) -> bool:
+    return type(ids) is tuple and all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def rel_err(a, b):
@@ -68,6 +75,12 @@ def test_every_mode_matches_enumeration_and_restores_the_kb(
         mark_dead_caches(root)
     else:
         root = prepare_dtree(net)
+    expected_annotations = naive_annotations(root, net)
+    for node in iter_nodes(root):
+        want = expected_annotations[node.id]
+        for name in ("cutset", "context", "cluster"):
+            got = getattr(node, name)
+            assert is_ascending_tuple(got) and set(got) == want[name]
     kb = RaisingKB(net.cards, compile_kb(net).clauses)
     before = (list(kb.domain), kb.checkpoint())
     budget = int(budget_share * dtree_stats(root).cache_cells_live)

@@ -129,8 +129,8 @@ def test_induced_jointree_running_intersection():
         annotate(root)
         assert check_running_intersection(root)
         for node, sep in dtree_separators(root):
-            assert sep <= node.parent.cluster
-            assert sep <= node.cluster
+            assert set(sep) <= set(node.parent.cluster)
+            assert set(sep) <= set(node.cluster)
 
 
 def test_dead_cache_removal_strictly_reduces_when_rule_fires():
