@@ -3,7 +3,9 @@
 The pieces compose in order: parse a network, build and annotate a
 dtree over its families, optionally compile its determinism into a
 knowledge base, then run probability-of-evidence queries under any
-cache policy.
+cache policy.  The names exported here are the ones the `rcnet` command
+line is built from, plus `brute_force_probability`, the enumeration
+oracle that answers small networks exactly for checking.
 """
 
 from .dtree import (
@@ -41,10 +43,8 @@ from .model import (
     expand_to_table,
     parse_evidence,
     parse_network,
-    serialize_network,
     validate_evidence,
 )
-from .randnet import random_evidence, random_network
 from .spaces import SpaceReport, space_report, ve_space
 
 __version__ = "0.1.0"

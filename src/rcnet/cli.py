@@ -4,24 +4,18 @@
                 [--kb on|off] [--log-space on|off] [--dtree-out d.json]
     rcnet stats --net net.json [--dtree-in d.json] [--dtree-out d.json]
                 [--dtree-dot d.dot]
-    rcnet bench --instances N [--max-vars N] [--max-states N]
-                [--determinism F] [--seed N] [--oracle]
     rcnet kb-dump --net net.json [--out clauses.txt]
 
 query and stats print one pretty JSON report, with the seconds each
-stage took in its timings_s object; bench prints one JSON
-line per generated instance, and exits 1 when an instance errs or
-disagrees with the oracle by more than ORACLE_TOLERANCE.  Exit code 2
-signals a parse or validation problem, reported as a single diagnostic
-line on stderr.
+stage took in its timings_s object.  Exit code 2 signals a parse or
+validation problem, reported as a single diagnostic line on stderr; any
+other failure propagates, so the console script exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
 import time
 from contextlib import contextmanager
@@ -39,15 +33,12 @@ from .dtree import (
     mark_dead_caches,
     min_fill_order,
 )
-from .engine import CachePolicy, brute_force_probability, rc_query
+from .engine import CachePolicy, rc_query
 from .kb import compile_kb
 from .model import NetworkFormatError, parse_evidence, parse_network
-from .randnet import random_evidence, random_network
 from .spaces import space_report
 
 __all__ = ["main"]
-
-ORACLE_TOLERANCE = 1e-9
 
 # the stages whose seconds `query` and `stats` report in timings_s; `query`
 # adds its query, and a stage the command did not run is null
@@ -156,62 +147,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    failed = False
-    for i in range(args.instances):
-        line: dict = {"instance": i}
-        try:
-            network = random_network(
-                rng,
-                max_vars=args.max_vars,
-                max_states=args.max_states,
-                determinism=args.determinism,
-                max_joint=args.oracle_limit,
-            )
-            joint_size = math.prod(network.cards)
-            evidence = random_evidence(rng, network)
-            root, _, dead = _prepared_dtree(network, None, {})
-            kb = compile_kb(network)
-            plain = rc_query(network, root, evidence)
-            pruned = rc_query(network, root, evidence, kb=kb)
-            line.update(
-                {
-                    "vars": network.n,
-                    "joint_size": joint_size,
-                    "evidence_vars": len(evidence),
-                    "probability_nokb": plain.probability,
-                    "probability_kb": pruned.probability,
-                    "probability_delta": abs(plain.probability - pruned.probability),
-                    "rc_calls_nokb": plain.rc_calls,
-                    "rc_calls_kb": pruned.rc_calls,
-                    "call_ratio": (
-                        plain.rc_calls / pruned.rc_calls if pruned.rc_calls else None
-                    ),
-                    "kb_skips": pruned.kb_skips,
-                    "kb_evidence_contradiction": pruned.kb_evidence_contradiction,
-                    "kb_clauses": kb.n_clauses,
-                    "kb_literals": kb.n_literals,
-                    "dtree_width": dtree_stats(root).width,
-                    "dead_caches": dead,
-                }
-            )
-            if args.oracle and joint_size <= args.oracle_limit:
-                expected = brute_force_probability(network, evidence)
-                line["oracle"] = expected
-                line["oracle_delta"] = abs(plain.probability - expected)
-            else:
-                line["oracle"] = None
-                line["oracle_delta"] = None
-            line["error"] = None
-        except Exception as exc:  # keep the run going, record the failure
-            line["error"] = f"{type(exc).__name__}: {exc}"
-        if line["error"] is not None or (line.get("oracle_delta") or 0.0) > ORACLE_TOLERANCE:
-            failed = True
-        print(json.dumps(line))
-    return 1 if failed else 0
-
-
 def cmd_kb_dump(args: argparse.Namespace) -> int:
     network = parse_network(_read(args.net))
     kb = compile_kb(network)
@@ -246,19 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--dtree-out")
     stats.add_argument("--dtree-dot", help="write a DOT rendering of the dtree")
     stats.set_defaults(func=cmd_stats)
-
-    bench = sub.add_parser("bench", help="randomized KB-on/off benchmark, JSON lines")
-    bench.add_argument("--instances", type=int, required=True)
-    bench.add_argument("--max-vars", type=int, default=10)
-    bench.add_argument("--max-states", type=int, default=4)
-    bench.add_argument("--determinism", type=float, default=0.0,
-                       help="fraction of CPT cells forced to zero")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--oracle", action="store_true",
-                       help="also run the enumeration oracle when feasible")
-    bench.add_argument("--oracle-limit", type=int, default=4000,
-                       help="largest joint state space to enumerate")
-    bench.set_defaults(func=cmd_bench)
 
     dump = sub.add_parser("kb-dump", help="print the compiled clauses")
     dump.add_argument("--net", required=True)

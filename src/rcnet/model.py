@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 ROW_SUM_TOL = 1e-9
+EXPAND_MAX_CELLS = 1 << 22
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -38,7 +39,6 @@ __all__ = [
     "NoisyOrCpt",
     "Network",
     "parse_network",
-    "serialize_network",
     "parse_evidence",
     "validate_evidence",
     "expand_to_table",
@@ -129,30 +129,6 @@ class Network:
 
     def family(self, var: int) -> tuple[int, ...]:
         return (var,) + self.cpts[var].parents
-
-    def cpt_prob(
-        self,
-        child: int,
-        child_state: int,
-        parent_inst: Mapping[int, int] | Sequence[int],
-    ) -> float:
-        """Pr(child=child_state | parents), parents given as a full
-        instantiation (id->state map, or states in declared parent order)."""
-        cpt = self.cpts[child]
-        if isinstance(parent_inst, Mapping):
-            try:
-                states = tuple(parent_inst[p] for p in cpt.parents)
-            except KeyError as exc:
-                raise ValueError(
-                    f"missing parent assignment for variable {exc.args[0]}"
-                ) from None
-        else:
-            states = tuple(parent_inst)
-            if len(states) != len(cpt.parents):
-                raise ValueError(
-                    f"expected {len(cpt.parents)} parent states, got {len(states)}"
-                )
-        return cpt.prob(child_state, states)
 
     def __eq__(self, other) -> bool:
         return (
@@ -338,29 +314,6 @@ def parse_network(text: str) -> Network:
     return Network(variables, cpts)
 
 
-def serialize_network(network: Network) -> str:
-    """Render a network back to document text; parse(serialize(n)) == n."""
-    var_docs = [{"name": v.name, "states": list(v.states)} for v in network.variables]
-    cpt_docs = []
-    for cpt in network.cpts:
-        child = network.variables[cpt.child]
-        parents = [network.variables[p].name for p in cpt.parents]
-        if isinstance(cpt, TabularCpt):
-            cpt_docs.append(
-                {"child": child.name, "parents": parents, "kind": "table",
-                 "table": list(cpt.entries)}
-            )
-        else:
-            trigger = [
-                network.variables[p].states[t] for p, t in zip(cpt.parents, cpt.trigger)
-            ]
-            cpt_docs.append(
-                {"child": child.name, "parents": parents, "kind": "noisy_or",
-                 "trigger": trigger, "inhibitor": list(cpt.inhibitor), "leak": cpt.leak}
-            )
-    return json.dumps({"variables": var_docs, "cpts": cpt_docs}, indent=2)
-
-
 def parse_evidence(text: str, network: Network) -> dict[int, int]:
     """Parse an evidence document into an id -> state-index map."""
     try:
@@ -393,12 +346,12 @@ def validate_evidence(network: Network, evidence: Mapping[int, int]) -> None:
             )
 
 
-def expand_to_table(network: Network, child: int, max_cells: int = 1 << 22) -> TabularCpt:
+def expand_to_table(network: Network, child: int) -> TabularCpt:
     """Materialize a noisy-or CPT as an equivalent dense table.
 
     The query plan lowers each noisy-or family whose table has at most
     engine.NOISY_OR_TABLE_CELLS cells this way, and tests use it as an
-    oracle; raises ValueError when the table would exceed max_cells.
+    oracle; raises ValueError when the table would exceed EXPAND_MAX_CELLS.
     Each entry is bitwise what NoisyOrCpt.prob returns.
     """
     cpt = network.cpts[child]
@@ -406,9 +359,9 @@ def expand_to_table(network: Network, child: int, max_cells: int = 1 << 22) -> T
         raise ValueError(f"variable {network.variables[child].name!r} has a tabular CPT already")
     parent_cards = tuple(network.cards[p] for p in cpt.parents)
     cells = 2 * math.prod(parent_cards)
-    if cells > max_cells:
+    if cells > EXPAND_MAX_CELLS:
         raise ValueError(
-            f"expanded table needs {cells} cells, exceeding the budget of {max_cells}"
+            f"expanded table needs {cells} cells, exceeding the budget of {EXPAND_MAX_CELLS}"
         )
     entries = []
     for inst in itertools.product(*(range(c) for c in parent_cards)):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 
-from rcnet import Network, parse_network
+from rcnet import Network, TabularCpt, parse_network
 
 # Ternary-gate fixture: binary A and B feed a ternary C whose table mixes
 # hard 0/1 rows with soft rows.  Flat table rows (A,B varying, B fastest):
@@ -154,6 +154,29 @@ def grid_doc(side: int, seed: int, noisy_or: bool = False) -> dict:
 
 def grid_network(side: int, seed: int, noisy_or: bool = False) -> Network:
     return parse_network(json.dumps(grid_doc(side, seed, noisy_or)))
+
+
+def serialize_network(network: Network) -> str:
+    """Render a network back to document text; parse(serialize(n)) == n."""
+    var_docs = [{"name": v.name, "states": list(v.states)} for v in network.variables]
+    cpt_docs = []
+    for cpt in network.cpts:
+        child = network.variables[cpt.child]
+        parents = [network.variables[p].name for p in cpt.parents]
+        if isinstance(cpt, TabularCpt):
+            cpt_docs.append(
+                {"child": child.name, "parents": parents, "kind": "table",
+                 "table": list(cpt.entries)}
+            )
+        else:
+            trigger = [
+                network.variables[p].states[t] for p, t in zip(cpt.parents, cpt.trigger)
+            ]
+            cpt_docs.append(
+                {"child": child.name, "parents": parents, "kind": "noisy_or",
+                 "trigger": trigger, "inhibitor": list(cpt.inhibitor), "leak": cpt.leak}
+            )
+    return json.dumps({"variables": var_docs, "cpts": cpt_docs}, indent=2)
 
 
 def literal_code(cards, var: int, state: int, positive: bool = True) -> int:

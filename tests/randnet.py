@@ -1,4 +1,4 @@
-"""Seeded random networks and evidence for benchmarks and property suites.
+"""Seeded random networks and evidence for the test suites.
 
 Documents are generated and run back through the parser, so every
 network produced here is valid by construction and exercises the format
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 
-from .model import Network, parse_network
+from rcnet import Network, parse_network
 
 __all__ = ["random_network", "random_evidence"]
 

@@ -32,7 +32,6 @@ from rcnet import (
 )
 from rcnet.dtree import DEAD, LIVE, iter_nodes
 from rcnet.model import TabularCpt
-from rcnet.randnet import random_evidence, random_network
 
 from helpers import (
     chain_network,
@@ -43,6 +42,7 @@ from helpers import (
     star_network,
 )
 from oracles import check_running_intersection, dtree_separators, replay_kb
+from randnet import random_evidence, random_network
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -278,50 +279,27 @@ def test_stats_reports_height_and_stage_timings(capsys, tmp_path):
     assert imported["timings_s"]["build"] >= 0
 
 
-def test_bench_zero_instances(capsys):
-    code, out, err = run(capsys, ["bench", "--instances", "0"])
-    assert code == 0
-    assert out == ""
-
-
-def test_bench_oracle_agreement(capsys):
-    code, out, _ = run(capsys, ["bench", "--instances", "6", "--seed", "3",
-                                "--max-vars", "8", "--oracle"])
-    assert code == 0
-    lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 6
-    for line in lines:
-        assert line["error"] is None
-        assert line["oracle_delta"] <= 1e-9
-        assert line["probability_delta"] <= 1e-12
-
-
-def test_bench_exits_1_when_an_instance_fails(capsys, monkeypatch):
+def test_query_engine_failure_is_not_swallowed(monkeypatch, gate_file):
+    # only format, validation and I/O errors exit 2; anything else reaches the
+    # console script, which then exits 1
     def broken(*args, **kwargs):
         raise RuntimeError("engine down")
 
     monkeypatch.setattr("rcnet.cli.rc_query", broken)
-    code, out, _ = run(capsys, ["bench", "--instances", "3", "--seed", "3"])
-    assert code == 1
-    lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert [line["error"] for line in lines] == ["RuntimeError: engine down"] * 3
+    with pytest.raises(RuntimeError, match="engine down"):
+        main(["query", "--net", gate_file])
 
 
-def test_bench_determinism_ratio(capsys):
-    code, out, _ = run(capsys, ["bench", "--instances", "8", "--seed", "5",
-                                "--determinism", "0.5"])
-    assert code == 0
-    lines = [json.loads(line) for line in out.strip().splitlines()]
-    ratios = [l["call_ratio"] for l in lines if l["call_ratio"] is not None]
-    assert ratios and all(r >= 1.0 for r in ratios)
-    assert sum(l["kb_skips"] for l in lines) > 0
-
-
-def test_bench_is_deterministic_per_seed(capsys):
-    args = ["bench", "--instances", "4", "--seed", "11", "--determinism", "0.3"]
-    _, first, _ = run(capsys, args)
-    _, second, _ = run(capsys, args)
-    assert first == second
+def test_only_query_stats_and_kb_dump_are_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--instances", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    commands = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert commands.split(",") == ["query", "stats", "kb-dump"]
 
 
 def test_kb_dump_gate(capsys, gate_file):

@@ -27,7 +27,6 @@ from rcnet import (
 from rcnet.dtree import (
     DEAD, LIVE, greedy_fill_order, induced_order, iter_nodes, moral_graph,
 )
-from rcnet.randnet import random_network
 
 from helpers import (
     chain_network,
@@ -49,6 +48,7 @@ from oracles import (
     reference_build_dtree,
     reference_fill_order,
 )
+from randnet import random_network
 
 
 def names(net, ids):

@@ -29,7 +29,6 @@ from rcnet import (
 from rcnet.dtree import DISABLED, LIVE, iter_nodes
 from rcnet.engine import LOG_ZERO, NOISY_OR_TABLE_CELLS, UNASSIGNED, QueryPlan
 from rcnet.model import NoisyOrCpt
-from rcnet.randnet import random_evidence, random_network
 
 from helpers import (
     chain_doc,
@@ -42,6 +41,7 @@ from helpers import (
     star_network,
 )
 from oracles import forward_log_probability
+from randnet import random_evidence, random_network
 
 
 def rel_err(a, b):

@@ -14,11 +14,11 @@ from rcnet import (
     prepare_dtree,
     rc_query,
 )
-from rcnet.randnet import random_evidence, random_network
 
 from helpers import chain_network, gate_network, literal_code, literal_of
 
 from oracles import replay_kb, unit_closure
+from randnet import random_evidence, random_network
 
 
 def clause_key(clause):

@@ -11,11 +11,10 @@ from rcnet import (
     expand_to_table,
     parse_evidence,
     parse_network,
-    serialize_network,
 )
-from rcnet.randnet import random_network
 
-from helpers import gate_doc, gate_network
+from helpers import gate_doc, gate_network, serialize_network
+from randnet import random_network
 
 
 def net_from(doc):
@@ -28,21 +27,16 @@ def test_single_variable_network():
         "cpts": [{"child": "A", "parents": [], "kind": "table", "table": [0.4, 0.6]}],
     })
     assert net.n == 1
-    assert net.cpt_prob(0, 0, {}) == 0.4
+    assert net.cpts[0].prob(0, ()) == 0.4
 
 
 def test_gate_table_layout(gate):
     c = gate.var_id("C")
     # row order: (A,B) = (1,1), (1,2), (2,1), (2,2) with B fastest
-    assert gate.cpt_prob(c, 1, {0: 0, 1: 1}) == 1.0   # Pr(C=2 | A=1, B=2)
-    assert gate.cpt_prob(c, 2, {0: 1, 1: 0}) == 0.0   # Pr(C=3 | A=2, B=1)
-    assert gate.cpt_prob(c, 1, {0: 1, 1: 0}) == 0.8
-    assert gate.cpt_prob(c, 0, {0: 1, 1: 1}) == 0.7
-
-
-def test_cpt_prob_missing_parent(gate):
-    with pytest.raises(ValueError, match="missing parent"):
-        gate.cpt_prob(2, 0, {0: 0})
+    assert gate.cpts[c].prob(1, (0, 1)) == 1.0   # Pr(C=2 | A=1, B=2)
+    assert gate.cpts[c].prob(2, (1, 0)) == 0.0   # Pr(C=3 | A=2, B=1)
+    assert gate.cpts[c].prob(1, (1, 0)) == 0.8
+    assert gate.cpts[c].prob(0, (1, 1)) == 0.7
 
 
 def test_row_sum_error():
@@ -125,7 +119,7 @@ def test_cardinality_one_is_legal():
         ],
     }
     net = net_from(doc)
-    assert net.cpt_prob(1, 1, {0: 0}) == 0.7
+    assert net.cpts[1].prob(1, (0,)) == 0.7
 
 
 def noisy_doc(n_parents, parent_card, trigger, inhibitor, leak):
@@ -150,14 +144,14 @@ def test_noisy_or_leak_only():
     net = net_from(noisy_doc(1, 2, [1], [0.5], 0.1))
     y = net.var_id("Y")
     # parent at the non-trigger state: only the leak can fire
-    assert net.cpt_prob(y, 1, {0: 0}) == pytest.approx(0.1, rel=1e-15)
-    assert net.cpt_prob(y, 0, {0: 0}) == 0.9
+    assert net.cpts[y].prob(1, (0,)) == pytest.approx(0.1, rel=1e-15)
+    assert net.cpts[y].prob(0, (0,)) == 0.9
 
 
 def test_noisy_or_two_triggered_parents():
     net = net_from(noisy_doc(2, 2, [1, 1], [0.5, 0.5], 0.0))
     y = net.var_id("Y")
-    assert net.cpt_prob(y, 0, {0: 1, 1: 1}) == 0.25
+    assert net.cpts[y].prob(0, (1, 1)) == 0.25
 
 
 def test_noisy_or_child_not_binary():
@@ -181,9 +175,10 @@ def test_expand_one_ternary_parent():
 
 
 def test_expand_budget_exceeded():
-    net = net_from(noisy_doc(4, 3, [0, 1, 2, 0], [0.5] * 4, 0.1))
-    with pytest.raises(ValueError, match="budget"):
-        expand_to_table(net, net.var_id("Y"), max_cells=10)
+    # 2 * 3**14 cells, over EXPAND_MAX_CELLS; the size check runs before any expansion
+    net = net_from(noisy_doc(14, 3, [0] * 14, [0.5] * 14, 0.1))
+    with pytest.raises(ValueError, match="9565938 cells, exceeding the budget"):
+        expand_to_table(net, net.var_id("Y"))
 
 
 def test_expand_matches_noisy_or_everywhere():

@@ -22,10 +22,10 @@ from rcnet import (
     rc_query,
 )
 from rcnet.dtree import iter_nodes
-from rcnet.randnet import random_evidence, random_network
 
 from helpers import random_shape
 from oracles import naive_annotations
+from randnet import random_evidence, random_network
 
 
 def is_ascending_tuple(ids) -> bool:

@@ -17,10 +17,10 @@ from rcnet import (
     ve_space,
 )
 from rcnet.dtree import iter_nodes, moral_graph
-from rcnet.randnet import random_network
 
 from helpers import chain_network, right_linear_shape, star_network
 from oracles import check_running_intersection, dtree_separators, elimination_cliques
+from randnet import random_network
 
 
 def cells(net, variables):
