@@ -3,9 +3,11 @@
 The pieces compose in order: parse a network, build and annotate a
 dtree over its families, optionally compile its determinism into a
 knowledge base, then run probability-of-evidence queries under any
-cache policy.  The names exported here are the ones the `rcnet` command
-line is built from, plus `brute_force_probability`, the enumeration
-oracle that answers small networks exactly for checking.
+cache policy.  The package holds what the `rcnet` command line and the
+library calls in README.md need, with the types they take and return;
+`brute_force_probability` is its one enumeration oracle, for checking
+answers on small networks.  Seeded random networks for testing live
+with the test suite.
 """
 
 from .dtree import (
