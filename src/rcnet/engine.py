@@ -51,15 +51,30 @@ since which cells are needed depends on what the KB refutes along the
 path.  Both orders compute each filled cell once, from the same children
 in the same cutset order, so values and counters do not depend on it.
 
-With a knowledge base attached, each open variable's state is asserted
-once per instantiation of the open variables before it, under its own
-checkpoint, and retracted when the walk moves past it.  A contradiction
-proves the branch carries zero probability; a state the KB's current
-domain already excludes is not asserted at all.  Either way the walk
-skips it together with every instantiation of the variables after it,
-and counts each of those as a KB skip.  A state the domain already
-implies is assigned without an assertion, and so is any state of a
-variable no clause mentions, in the walk and in the evidence alike, so
+With a knowledge base attached, the walk asks the KB about a state only
+where the answer can change what it does next.  At every open level but
+the last, each state is asserted once per instantiation of the open
+variables before it, under its own checkpoint, and retracted when the
+walk moves past it.  At the last open level a state is asserted, the
+same way, only when its product will call a child: an uncached internal
+child, or a cache cell still EMPTY.  When both children are read from
+filled cells, tables or lookup() (which never reads the KB), the product
+is taken without asking, and nobody reads the KB in that state.  This
+changes no answer.  At t's last open level all of t's cluster is
+assigned.  Every clause that mentions a cutset variable of t comes from
+a family in t's subtree, and propagation cannot leave the subtree
+through its context, whose variables are assigned.  So a contradiction
+there would prove that one child's value is exactly 0 (-inf in the log
+domain), and the product adds +0 to the sum.  Only the counters could
+tell: such a state counts as a product where an assertion would have
+counted a KB skip.
+
+A contradiction proves the branch carries zero probability; a state the
+KB's current domain already excludes is not asserted at all.  Either way
+the walk skips it together with every instantiation of the variables
+after it, and counts each of those as a KB skip.  A state the domain
+already implies is assigned without an assertion, and so is any state of
+a variable no clause mentions, in the walk and in the evidence alike, so
 a KB without clauses, or no KB, is never asked.  Only assigned evidence
 and cutset values are visible to leaf lookups; KB-implied values never
 are, which keeps the unobserved-leaf sum-to-1 shortcut exact.
@@ -541,7 +556,9 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
         # state the KB's domain excludes is skipped along with every
         # instantiation of the levels below it; a state the domain implies,
         # or any state of a variable no clause mentions, is assigned
-        # without asking the KB.
+        # without asking the KB, and so is a state of the last level whose
+        # product calls no child: its value would be exact even if the KB
+        # refuted it (see the module docstring).
         k = len(open_vars)
         last = k - 1
         tokens = [-1] * last if last > 0 and kb is not None else no_tokens
@@ -579,7 +596,11 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
                 if mentioned[v]:
                     bit = 1 << s
                     d = domain[v]
-                    if d & bit and d != bit:
+                    # at the last level, ask only before a child is called
+                    if d & bit and d != bit and (
+                            i < last
+                            or (lvar < 0 if lsource is None else lsource[kl] == empty)
+                            or (rvar < 0 if rsource is None else rsource[kr] == empty)):
                         token = checkpoint()
                         if not assert_literal(positive[v][s]):
                             retract_to(token)

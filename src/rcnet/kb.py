@@ -19,19 +19,27 @@ format_clauses decodes them for printing.  Each code has its variable
 and the mask of the states it allows: bit x for (X = x), every other
 state's bit for (X != x).  Against its variable's domain d, a literal
 with mask m is falsified when d & m is 0, satisfied when d & ~m is 0,
-and asserted by d &= m, whatever its sign.
+and asserted by d &= m, whatever its sign.  The mask of the states a
+literal excludes is its negation's mask, kept per code as well, so the
+satisfied test complements nothing.
 
 Propagation uses two watched literals per clause (Moskewicz et al.,
 "Chaff", DAC 2001).  A clause is looked at only when one of its two
 watches is falsified: it then watches another literal that is not
 falsified, or, when none is left, asserts its other watch, or reports a
-contradiction when that one is falsified too.  One loop in
-assert_literal does all of it: it assigns each implied literal inline
-and pushes the watched literals that the change falsifies on a local
-stack, so a long chain of implications costs neither a Python call per
-implication nor Python recursion.  Unit clauses go through the same
-loop when the KB is built; that state is the base a checkpoint can
-never go below.
+contradiction when that one is falsified too.  A clause's literals are
+one list whose positions 0 and 1 are its watches, and each literal's
+watch list holds those lists themselves, so a visit reads the clause
+without an index.  One loop in assert_literal does all of it: it assigns
+each implied literal inline and pushes the watched literals that the
+change falsifies on a local stack, so a long chain of implications costs
+neither a Python call per implication nor Python recursion.  The (X = s)
+literals a change falsifies are read from a table with one tuple per
+mask of states below 8, or below the KB's largest cardinality when that
+is less; a wider variable's removed states are read a byte at a time, so
+no table grows past 256 entries.  Unit clauses go through the same loop
+when the KB is built; that state is the base a checkpoint can never go
+below.
 
 The trail records only domain changes (variable, previous domain).
 Watches need no undo: a watch moves only to a literal that is not
@@ -43,6 +51,7 @@ to its checkpoint before asserting anything else.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable
 
@@ -62,6 +71,9 @@ class KnowledgeBase:
     a tuple with its repeated codes dropped.  `domain[v]` is variable v's
     bitmask of possible states, `mentioned[v]` tells whether any clause
     has a literal on v, and `positive[v][s]` is the code of (v = s).
+    Per clause, `_lits` holds the list of its literals that can hold,
+    watched at positions 0 and 1; `_watches[code]` holds those same
+    lists, one for each clause that watches the literal.
     Building a KB from an empty clause, a code out of range, or unit
     clauses that propagate to a contradiction raises ValueError.
     """
@@ -77,7 +89,14 @@ class KnowledgeBase:
         masks = {c: [mask for s in range(c) for mask in (1 << s, ((1 << c) - 1) ^ (1 << s))]
                  for c in set(self.cards)}
         self._lit_allowed = list(itertools.chain.from_iterable(map(masks.__getitem__, self.cards)))
-        self._watches: list[list[int]] = [[] for _ in self._lit_var]
+        # per code, the mask of the states it excludes, which its negation
+        # allows: the literal is satisfied when the domain holds none of them
+        self._lit_excluded = [self._lit_allowed[code ^ 1] for code in range(len(self._lit_var))]
+        # per mask of removed states below 256, the offsets of the (X = s)
+        # codes that falsifies
+        self._offsets = _offset_table(min(max(self.cards, default=0), 8))
+        # per code, the literal lists of the clauses that watch it
+        self._watches: list[list[list[int]]] = [[] for _ in self._lit_var]
         self._trail_var: list[int] = []
         self._trail_old: list[int] = []
         self.clauses: list[tuple[int, ...]] = []
@@ -87,7 +106,7 @@ class KnowledgeBase:
         self._lits: list[list[int]] = []
         lit_var, allowed, watches = self._lit_var, self._lit_allowed, self._watches
         units = []
-        for idx, clause in enumerate(clauses):
+        for clause in clauses:
             codes = tuple(dict.fromkeys(clause))
             if not codes:
                 raise ValueError("empty clause")
@@ -95,8 +114,8 @@ class KnowledgeBase:
                 raise ValueError(f"literal code out of range in clause {codes}")
             lits = [c for c in codes if allowed[c]]
             if len(lits) > 1:
-                watches[lits[0]].append(idx)
-                watches[lits[1]].append(idx)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
             elif not lits:
                 raise ValueError("contradictory clause set")
             else:
@@ -125,7 +144,7 @@ class KnowledgeBase:
         return not self.domain[self._lit_var[lit]] & self._lit_allowed[lit]
 
     def _satisfied(self, lit: int) -> bool:
-        return not self.domain[self._lit_var[lit]] & ~self._lit_allowed[lit]
+        return not self.domain[self._lit_var[lit]] & self._lit_excluded[lit]
 
     # -- assertion and propagation -----------------------------------------
 
@@ -136,11 +155,12 @@ class KnowledgeBase:
         On contradiction the KB keeps the partially propagated state;
         retract_to() a prior checkpoint to recover.
         """
-        domain, lit_var, allowed = self.domain, self._lit_var, self._lit_allowed
-        watches, lits, bases = self._watches, self._lits, self._base
+        domain, lit_var, allowed, excluded = (
+            self.domain, self._lit_var, self._lit_allowed, self._lit_excluded)
+        watches, bases, offsets = self._watches, self._base, self._offsets
         trail_var, trail_old = self._trail_var, self._trail_old
         stack = []  # watched literals falsified, whose clauses are not yet visited
-        watching: list[int] = []  # the clauses watching lit, visited from i up to end
+        watching: list[list[int]] = []  # the clauses watching lit, visited from i up to end
         lit = i = end = 0
         while True:
             # assign code: the asserted literal first, then each implied one
@@ -154,11 +174,10 @@ class KnowledgeBase:
                 trail_old.append(old)
                 domain[var] = new
                 base = bases[var]
-                removed = old ^ new
-                while removed:  # (X = s) is falsified for every state s that left
-                    low = removed & -removed
-                    removed ^= low
-                    falsified = base + 2 * low.bit_length() - 2
+                removed = old ^ new  # (X = s) is falsified for every state s that left
+                for falsified in (offsets[removed] if removed < 256
+                                  else _wide_offsets(removed)):
+                    falsified += base
                     if watches[falsified]:
                         stack.append(falsified)
                 if not new & (new - 1):  # a single state is left: (X != s) is falsified
@@ -174,13 +193,12 @@ class KnowledgeBase:
                     watching = watches[lit]
                     i, end = 0, len(watching)
                     continue
-                idx = watching[i]
-                codes = lits[idx]
+                codes = watching[i]
                 other = codes[0]
                 if other == lit:
                     other = codes[0] = codes[1]
                     codes[1] = lit
-                if not domain[lit_var[other]] & ~allowed[other]:
+                if not domain[lit_var[other]] & excluded[other]:
                     i += 1  # the other watch is satisfied
                     continue
                 for j in range(2, len(codes)):
@@ -188,7 +206,7 @@ class KnowledgeBase:
                     if domain[lit_var[candidate]] & allowed[candidate]:
                         codes[1] = candidate  # not falsified: watch it instead
                         codes[j] = lit
-                        watches[candidate].append(idx)
+                        watches[candidate].append(codes)
                         end -= 1
                         watching[i] = watching[end]
                         watching.pop()
@@ -218,16 +236,20 @@ class KnowledgeBase:
         """Watch invariants checked from scratch; empty when they hold.
 
         Every clause of two or more literals watches two distinct
-        literals of its own, a falsified watch has a satisfied partner,
-        no clause is falsified, and a clause with one literal left that
-        is not falsified has that literal asserted.  Call it outside a
-        contradiction.
+        literals of its own (its list is in the watch lists of exactly
+        those two), every list in a watch list is a clause's, a falsified
+        watch has a satisfied partner, no clause is falsified, and a
+        clause with one literal left that is not falsified has that
+        literal asserted.  Call it outside a contradiction.
         """
         problems = []
+        clause_of = {id(codes): idx for idx, codes in enumerate(self._lits)}
         watched = {}
-        for lit, clause_ids in enumerate(self._watches):
-            for idx in clause_ids:
-                watched.setdefault(idx, []).append(lit)
+        for lit, watching in enumerate(self._watches):
+            for codes in watching:
+                watched.setdefault(clause_of.get(id(codes)), []).append(lit)
+        if None in watched:
+            problems.append(f"literals {watched.pop(None)} watch a list of no clause")
         for idx, codes in enumerate(self._lits):
             if len(codes) >= 2:
                 pair = sorted(codes[:2])
@@ -257,6 +279,26 @@ class KnowledgeBase:
                 parts.append(f"{var.name}{op}{var.states[(code - self._base[v]) >> 1]}")
             lines.append(" ".join(parts))
         return "\n".join(lines)
+
+
+@functools.cache
+def _offset_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """Per mask of states below `width`, at most 8, the offsets from the
+    code of (X = 0) of the codes (X = s) of its states s, 2 * s each.  A
+    wider mask is read a byte at a time (_wide_offsets), so no table grows
+    with a variable's cardinality; one table per width serves every KB."""
+    return tuple(tuple(2 * s for s in range(width) if mask >> s & 1) for mask in range(1 << width))
+
+
+def _wide_offsets(mask: int) -> list[int]:
+    """The offsets of the codes (X = s) of a mask with a state of 8 or more."""
+    offsets = []
+    shift = 0
+    while mask:
+        offsets += [shift + offset for offset in _offset_table(8)[mask & 255]]
+        mask >>= 8
+        shift += 16
+    return offsets
 
 
 def _code_bases(cards: Iterable[int]) -> list[int]:

@@ -356,6 +356,66 @@ def test_kb_is_asked_only_about_mentioned_variables():
     assert res.probability == rc_query(net, root, evidence).probability
 
 
+def rotated_chain(n):
+    """Ternary chain X0 -> X1 -> ... in which Pr(Xi = (p + 1) % 3 | Xi-1 = p)
+    is 0: each parent state rules out one child state and fixes none."""
+    names = [f"X{i}" for i in range(n)]
+    rows = [0.5, 0.0, 0.5] + [0.5, 0.5, 0.0] + [0.0, 0.5, 0.5]
+    cpts = [{"child": "X0", "parents": [], "kind": "table", "table": [0.2, 0.3, 0.5]}]
+    cpts += [{"child": c, "parents": [p], "kind": "table", "table": rows}
+             for p, c in zip(names, names[1:])]
+    return parse_network(json.dumps({
+        "variables": [{"name": v, "states": ["a", "b", "c"]} for v in names], "cpts": cpts,
+    }))
+
+
+def asked(net, kb):
+    """The (variable, state) of each literal the KB was asked, all positive."""
+    literals = [literal_of(net.cards, code) for code in kb.asserted]
+    assert all(positive for _, _, positive in literals)
+    return [(var, state) for var, state, _ in literals]
+
+
+@pytest.mark.parametrize("log_domain", [False, True])
+def test_kb_is_not_asked_at_a_last_level_whose_children_are_leaves(log_domain):
+    net = rotated_chain(2)
+    root = prepare_dtree(net)
+    assert root.cutset == (0,) and root.left.is_leaf and root.right.is_leaf
+    kb = counting(compile_kb(net))
+    # the evidence rules out X0 = c; X0 = a and X0 = b stay open, and their
+    # products read both leaves' tables without a call
+    res = rc_query(net, root, {1: 0}, kb=kb, log_domain=log_domain)
+    assert asked(net, kb) == [(1, 0)]  # the evidence alone
+    assert res.kb_skips == 1
+    plain = rc_query(net, root, {1: 0}, log_domain=log_domain)
+    assert (res.probability, res.log_value) == (plain.probability, plain.log_value)
+    assert res.rc_calls == plain.rc_calls - 2
+
+
+@pytest.mark.parametrize("policy, expected", [
+    # X0's level finds each cell of the cache below it EMPTY, so it always
+    # asks; X1's level asks only while its child's cell is still EMPTY, and
+    # X2's level, whose children are leaves, never
+    (CachePolicy.full(), [(3, 0), (0, 0), (1, 0), (1, 2), (0, 1), (1, 1), (0, 2)]),
+    # no caches: X0's and X1's levels call an internal child for every
+    # state, and X2's level, whose children are leaves, is never asked
+    (CachePolicy.none(), [(3, 0), (0, 0), (1, 0), (1, 2), (0, 1), (1, 0), (1, 1),
+                          (0, 2), (1, 1), (1, 2)]),
+])
+def test_kb_is_asked_before_a_last_level_child_is_called(policy, expected):
+    net = rotated_chain(4)
+    root = dtree_from_shape(net, ["X0", ["X1", ["X2", "X3"]]])
+    annotate(root)  # no dead-cache marks: the cache below the root stays live
+    assert [t.cutset for t in iter_nodes(root) if not t.is_leaf] == [(0,), (1,), (2,)]
+    kb = counting(compile_kb(net))
+    res = rc_query(net, root, {3: 0}, policy=policy, kb=kb)
+    # X0 = s is asked before the call below it, whose own questions follow
+    assert asked(net, kb) == expected
+    plain = rc_query(net, root, {3: 0}, policy=policy)
+    assert res.probability == plain.probability
+    assert res.rc_calls < plain.rc_calls
+
+
 def test_kb_for_other_cardinalities_is_refused(gate, chain):
     kb = compile_kb(gate)
     before = list(kb.domain)

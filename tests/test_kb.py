@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -230,6 +231,13 @@ def test_audit_reports_a_broken_watch(gate):
     assert any("watches" in problem for problem in kb.audit())
 
 
+def test_audit_reports_a_watch_on_a_list_of_no_clause(gate):
+    kb = compile_kb(gate)
+    codes = kb._lits[0]
+    kb._watches[codes[0]].append(list(codes))  # equal to the clause's list, but not it
+    assert any("no clause" in problem for problem in kb.audit())
+
+
 def test_audit_reports_an_unasserted_unit_clause():
     kb = KnowledgeBase([2, 2], [(literal_code([2, 2], 0, 0), literal_code([2, 2], 1, 0))])
     assert kb.audit() == []
@@ -276,34 +284,88 @@ def networks_with_a_false_literal(rng, count):
     return found
 
 
+def fuzz_against_unit_closure(rng, kb, draw, steps):
+    """Random assertions, checkpoints and retractions on kb, its domains
+    checked against unit_closure and its watches by audit() after every
+    step; draw() gives the literal to assert."""
+    cards, clauses = kb.cards, list(kb.clauses)
+    # frames of (token, asserts committed inside that frame)
+    frames: list[tuple[int, list[int]]] = [(kb.checkpoint(), [])]
+    for _ in range(steps):
+        action = rng.random()
+        surviving = [l for _, lits in frames for l in lits]
+        if action < 0.6:
+            literal = draw()
+            tok = kb.checkpoint()
+            if kb.assert_literal(literal):
+                frames[-1][1].append(literal)
+            else:
+                assert unit_closure(cards, clauses, surviving + [literal]) is None
+                kb.retract_to(tok)
+        elif action < 0.8:
+            frames.append((kb.checkpoint(), []))
+        elif len(frames) > 1:
+            token, _ = frames.pop()
+            kb.retract_to(token)
+        surviving = [l for _, lits in frames for l in lits]
+        assert kb.domain == unit_closure(cards, clauses, surviving)
+        assert kb.audit() == []
+
+
 def test_fuzz_against_unit_closure_oracle():
     rng = random.Random(36)
     for net in networks_with_a_false_literal(rng, 6):
-        kb = compile_kb(net)
-        clauses = list(kb.clauses)
-        # frames of (token, asserts committed inside that frame)
-        frames: list[tuple[int, list[int]]] = [(kb.checkpoint(), [])]
-        for _ in range(300):
-            action = rng.random()
-            surviving = [l for _, lits in frames for l in lits]
-            if action < 0.6:
-                var = rng.randrange(net.n)
-                state = rng.randrange(net.cards[var])
-                literal = literal_code(net.cards, var, state, rng.random() < 0.7)
-                tok = kb.checkpoint()
-                if kb.assert_literal(literal):
-                    frames[-1][1].append(literal)
-                else:
-                    assert unit_closure(net.cards, clauses, surviving + [literal]) is None
-                    kb.retract_to(tok)
-            elif action < 0.8:
-                frames.append((kb.checkpoint(), []))
-            elif len(frames) > 1:
-                token, _ = frames.pop()
-                kb.retract_to(token)
-            surviving = [l for _, lits in frames for l in lits]
-            assert kb.domain == unit_closure(net.cards, clauses, surviving)
-            assert kb.audit() == []
+
+        def draw():
+            var = rng.randrange(net.n)
+            state = rng.randrange(net.cards[var])
+            return literal_code(net.cards, var, state, rng.random() < 0.7)
+
+        fuzz_against_unit_closure(rng, compile_kb(net), draw, 300)
+
+
+def wide_kb_case(rng, cards):
+    """Random clauses of 2 to 4 literals over variables with these
+    cardinalities, and a draw of literals to assert.  Each variable's
+    literals use a few states, its last among them, so that removed-state
+    masks reach past the first byte and the watched (X = s) they falsify
+    sit there too."""
+    hot = [rng.sample(range(card), min(card, 3)) + [card - 1] for card in cards]
+
+    def literal(p_positive):
+        var = rng.randrange(len(cards))
+        return literal_code(cards, var, rng.choice(hot[var]), rng.random() < p_positive)
+
+    clauses = [tuple(literal(0.5) for _ in range(rng.randint(2, 4))) for _ in range(14)]
+    return clauses, lambda: literal(0.3)
+
+
+@pytest.mark.parametrize("cards", [(12, 2, 12, 3), (70, 12, 2, 70)])
+def test_fuzz_wide_domains_against_unit_closure_oracle(cards):
+    rng = random.Random(37)
+    for _ in range(8):
+        clauses, draw = wide_kb_case(rng, cards)
+        kb = KnowledgeBase(cards, clauses)
+        assert kb.domain == unit_closure(cards, kb.clauses, []) and kb.audit() == []
+        fuzz_against_unit_closure(rng, kb, draw, 150)
+
+
+def test_wide_variable_builds_no_table_per_domain_mask():
+    # a table with an entry per mask of a 64-state variable's states would
+    # need 2**64 entries; the KB's own memory grows with its codes instead
+    cards = (64, 64, 2)
+    lit = functools.partial(literal_code, cards)
+    clauses = [(lit(0, s), lit(1, s, False), lit(2, s % 2)) for s in range(64)]
+    tracemalloc.start()
+    try:
+        kb = KnowledgeBase(cards, clauses)
+        assert kb.assert_literal(lit(1, 63)) and kb.assert_literal(lit(2, 1, False))
+        assert kb.domain[0] == 1 << 63  # (X0 = 63) is all that is left of its clause
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+    assert kb.audit() == []
 
 
 # --- soundness ---------------------------------------------------------

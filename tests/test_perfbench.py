@@ -36,3 +36,7 @@ def test_traced_benchmark_round_is_correct(workload):
         # that bypassed them would leave these at zero
         assert metrics["kb.asserts_per_query"]["value"] > 0
         assert metrics["kb.assert_s_per_query"]["value"] > 0
+        # and the KB still prunes: a walk that stopped asking it where its
+        # answer counts would run without a skip and call as often as KB-off
+        assert metrics["kb.skips_per_query"]["value"] > 0
+        assert metrics["kb.call_ratio"]["value"] > 1
