@@ -21,12 +21,15 @@ added the first time a log-domain query needs them, and the caches a
 cache policy enables (apply_policy over the dead-cache marks) the first
 time a query runs under that policy.
 
-Each query builds only what depends on it: the cache tables, one
-assignment list, its counters, and copies of the keys and cutsets its
-evidence changes.  A cache table is one array('d') with a cell per
-instantiation of the context variables the evidence leaves open, 8
-bytes a cell, and +inf (EMPTY) in the cells not yet filled; a context
-the evidence fixes has one cell.  A cutset's observed variables leave
+Each query builds only what depends on it: one arena for its cache
+tables, one assignment list, its counters, and copies of the keys and
+cutsets its evidence changes.  The arena is a single array('d') that
+holds every enabled cache's table, one after another, each at its own
+base offset: a table has a cell per instantiation of the context
+variables the evidence leaves open, 8 bytes a cell and nothing more, and
++inf (EMPTY) in the cells not yet filled; a context the evidence fixes
+has one cell.  A query whose tables would exceed MAX_CACHE_CELLS cells is
+refused before the arena is made.  A cutset's observed variables leave
 its loop, and their strides move into the fixed part of a leaf's key or
 out of a cache's key.
 
@@ -109,6 +112,10 @@ LINEAR_FLOOR = sys.float_info.min / sys.float_info.epsilon  # 2**-970
 # from that table; a larger one computes each value from its parameters
 NOISY_OR_TABLE_CELLS = 4096
 
+# a query whose enabled cache tables would hold more cells than this (1 GiB of
+# floats) is refused before any is made
+MAX_CACHE_CELLS = 2**27
+
 __all__ = [
     "LOG_ZERO",
     "UNASSIGNED",
@@ -161,7 +168,7 @@ class QueryResult:
     rc_calls: int
     cache_hits: int
     cache_misses: int
-    cache_cells: int  # table cells allocated, 8 bytes each
+    cache_cells: int  # cells of the query's arena, 8 bytes each: its tables, nothing more
     kb_enabled: bool = False
     kb_skips: int = 0
     kb_evidence_contradiction: bool = False
@@ -399,22 +406,28 @@ _OPEN = object()
 
 
 def _open_query(plan: QueryPlan, enabled: tuple[int, ...], evidence: list[int],
-                observed: Iterable[int], log_domain: bool) -> tuple[list, list, list]:
-    """What one query adds to its plan: per node, the source, key and open
-    cutset that _run_plan reads.
+                observed: Iterable[int], log_domain: bool) -> tuple[array, array, list, list, list]:
+    """What one query adds to its plan: the arena that holds every enabled
+    cache's table, each table's first cell in it, and per node the source,
+    key and open cutset that _run_plan reads.
 
-    A node's source is what its parent reads its value from: a cache
-    table, its CPT entries, a one-cell table for a leaf that sums to one,
-    or None when the parent must call out (a large noisy-or leaf, an
-    uncached internal node).  A cache table is an array('d') with a cell
-    per instantiation of the context variables the evidence leaves open,
-    all EMPTY.  The plan's keys and cutsets are copied on their first
-    change: a cutset drops its observed variables, its children's keys
-    drop their strides at those positions (a leaf moves them into its
-    fixed part), and a cache whose context holds evidence is keyed over
-    its open variables alone (an observed one keeps its place with stride
-    0).  Only the nodes whose cutset holds an `observed` variable, the
-    enabled caches and the lone leaves are visited.
+    A node's source is what its parent reads its value from: the arena for
+    an enabled cache, its CPT entries for a tabular leaf, a one-cell table
+    for a leaf that sums to one, or None when the parent must call out (a
+    large noisy-or leaf, an uncached internal node).  The arena is one
+    array('d'), all EMPTY, with a cell per instantiation of each enabled
+    cache's context variables the evidence leaves open; the tables lie in
+    it in the order of `enabled`, and bases[t] is the first cell of t's
+    (0 at every other node).  A query whose tables would hold more than
+    MAX_CACHE_CELLS cells raises ValueError before the arena is made.  The
+    plan's keys and cutsets are copied on their first change: a cutset
+    drops its observed variables, its children's keys drop their strides
+    at those positions (a leaf moves them into its fixed part), and a
+    cache whose context holds evidence is keyed over its open variables
+    alone (an observed one keeps its place with stride 0; when its parent's
+    cutset holds no evidence, it keeps the plan's steps).  Only the nodes
+    whose cutset holds an `observed` variable, the enabled caches and the
+    lone leaves are visited.
     """
     cards = plan.network.cards
     left, right, parent, cutset = plan.left, plan.right, plan.parent, plan.cutset
@@ -442,6 +455,9 @@ def _open_query(plan: QueryPlan, enabled: tuple[int, ...], evidence: list[int],
             keys[c] = (fixed + tuple([cut[i] for i in moved]),
                        strides + tuple([steps[i] for i in moved]),
                        tuple([steps[i] for i, u in enumerate(cut) if evidence[u] < 0]))
+    # an array, not a list: most bases exceed 256, and a list would box each
+    bases = array("q", [0]) * len(left)
+    total = 0
     for c in enabled:  # a cache's context holds all of its parent's cutset
         cut, open_cut = cutset[parent[c]], cuts[parent[c]]
         fixed = keys[c][0]
@@ -454,24 +470,38 @@ def _open_query(plan: QueryPlan, enabled: tuple[int, ...], evidence: list[int],
             table, cells = _strides(open_context, cards)
             if keys is plan.keys:
                 keys = list(keys)
-            keys[c] = (fixed, tuple([table.get(v, 0) for v in fixed]),
-                       tuple([table[u] for u in open_cut]))
-        sources[c] = array("d", [EMPTY]) * cells
+            # the parent's cutset comes last, so its strides are the plan's
+            # unless the evidence shortened it
+            steps = keys[c][2] if open_cut is cut else tuple([table[u] for u in open_cut])
+            keys[c] = (fixed, tuple([table.get(v, 0) for v in fixed]), steps)
+        if total <= MAX_CACHE_CELLS:  # past it, the query is refused below
+            bases[c] = total
+        total += cells
+    if total > MAX_CACHE_CELLS:
+        raise ValueError(
+            f"the enabled cache tables need {total:,} cells ({8 * total:,} bytes), more than "
+            f"the limit of {MAX_CACHE_CELLS:,}; a cache policy of budget:N with N at most "
+            f"{MAX_CACHE_CELLS} always fits")
+    arena = array("d", [EMPTY]) * total
+    for c in enabled:
+        sources[c] = arena
     if lone and keys is plan.keys:
         keys = list(keys)
     for t in lone:
         if parent[t] >= 0:
             keys[t] = ((), (), (0,) * len(cuts[parent[t]]))
-    return sources, keys, cuts
+    return arena, bases, sources, keys, cuts
 
 
-def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: list,
-              cuts: list, assign: list[int], kb: KnowledgeBase | None,
+def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], bases: array, sources: list,
+              keys: list, cuts: list, assign: list[int], kb: KnowledgeBase | None,
               log_domain: bool) -> tuple[float, int, int, int]:
     """Value of the plan's root under `assign`, with the cache lookups,
     the cutset instantiations evaluated and the KB skips, over a query's
-    enabled caches, sources, keys and open cutsets (_open_query).
-    `assign` is back to its entry state on return.
+    enabled caches, table bases, sources, keys and open cutsets
+    (_open_query).  A cached child's key, and a table fill's cell, count
+    from the table's base in the arena.  `assign` is back to its entry
+    state on return.
 
     Without a KB every cell of every enabled cache is needed, so each
     table is filled in one walk, children first, before the root is
@@ -505,7 +535,7 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
 
     def expand(t: int, table: array | None = None) -> float:
         """Sum over the open cutset of t of its children's product; given
-        t's cache table, fill every cell of it instead."""
+        the arena, fill every cell of t's table in it instead."""
         nonlocal lookups, evaluated, skips
         l, r = left[t], right[t]
         lsource, rsource = sources[l], sources[r]
@@ -517,9 +547,10 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
             # The open context goes in front, in the order of the table's
             # cells (the open variables of t's fixed part, then its parent's
             # open cutset, the last fastest), so the cell index counts up by
-            # one; on each of its variables a child's key moves by the stride
-            # its fixed part gives that variable.  Each starts at state 0,
-            # which the keys below are computed at.
+            # one from t's base; on each of its variables a child's key moves
+            # by the stride its fixed part gives that variable.  Each starts
+            # at state 0, which the keys below are computed at.
+            cell = bases[t]
             fill_vars.clear()
             fill_l.clear()
             fill_r.clear()
@@ -536,13 +567,13 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
             fill_l.extend(lstep)
             fill_r.extend(rstep)
             open_vars, lstep, rstep = fill_vars, fill_l, fill_r
-        kl = 0
+        kl = bases[l]  # 0 unless l is an enabled cache
         if lsource is None:
             lvar = leaf_var[l]
         else:
             for v, stride in zip(lfixed, lstrides):
                 kl += assign[v] * stride
-        kr = 0
+        kr = bases[r]
         if rsource is None:
             rvar = leaf_var[r]
         else:
@@ -564,7 +595,7 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], sources: list, keys: li
         tokens = [-1] * last if last > 0 and kb is not None else no_tokens
         terms = (fill_terms if table is not None else []) if log_domain else None
         total = 0.0
-        n = i = s = cell = 0
+        n = i = s = 0
         token = -1
         while True:
             if k:
@@ -721,9 +752,10 @@ def rc_query(
                             log_value=LOG_ZERO if log_domain else None,
                         )
             enabled = _enabled_caches(plan, root, policy or CachePolicy.full())
-            sources, keys, cuts = _open_query(plan, enabled, expected, evidence, log_domain)
+            arena, bases, sources, keys, cuts = _open_query(
+                plan, enabled, expected, evidence, log_domain)
             value, lookups, evaluated, skips = _run_plan(
-                plan, enabled, sources, keys, cuts, assign, kb, log_domain)
+                plan, enabled, bases, sources, keys, cuts, assign, kb, log_domain)
         finally:
             if kb_token is not None:
                 kb.retract_to(kb_token)
@@ -732,17 +764,19 @@ def rc_query(
         var = next(v for v in range(network.n) if assign[v] != expected[v])
         raise RuntimeError(f"query leaked an assignment on variable {var}")
     if not log_domain and value < LINEAR_FLOOR:
+        del arena, bases, sources, keys, cuts  # free the linear pass first
         return rc_query(network, root, evidence, policy, kb, log_domain=True)
 
-    # every miss fills exactly one cell, and every other lookup is a hit
+    # every miss fills exactly one cell, and every other lookup is a hit; one
+    # forward pass, copying one table at a time, keeps the dict in preorder
     per_node_misses = {}
-    cells = 0
-    for node_id in enabled:
-        cache = sources[node_id]
-        cells += len(cache)
-        filled = len(cache) - cache.count(EMPTY)
+    cells = len(arena)
+    for i, t in enumerate(enabled):
+        start = bases[t]
+        stop = bases[enabled[i + 1]] if i + 1 < len(enabled) else cells
+        filled = stop - start - arena[start:stop].count(EMPTY)
         if filled:
-            per_node_misses[node_id] = filled
+            per_node_misses[t] = filled
     misses = sum(per_node_misses.values())
 
     if log_domain:

@@ -1,6 +1,8 @@
 import json
 import re
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -154,6 +156,28 @@ def test_query_bad_cache_policy_exits_2_before_reading(capsys, tmp_path):
                                     "--cache", cache])
         assert code == 2
         assert "budget" in err or "cache policy" in err, err
+
+
+@pytest.mark.parametrize("side, cells", [
+    (24, 1_069_159_240),
+    (30, 69_700_700_176),
+    (52, 75_502_809_138_977_169_592),  # past 2**63: no table offset could hold it
+])
+def test_query_past_the_cell_limit_exits_2_before_any_table(capsys, tmp_path, side, cells):
+    # under --cache full these grids' tables would take 7.97 GiB, 519 GiB and more
+    net_path = write_json(tmp_path, "grid.json", grid_doc(side, 1))
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["query", "--net", net_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"{cells:,} cells ({8 * cells:,} bytes)" in err and "budget:N" in err
+    assert peak < 64 * 2**20
+    assert time.perf_counter() - started < 30
 
 
 def test_stats_star_fixture_no_live_cells(capsys, tmp_path):

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 
@@ -822,6 +823,11 @@ LIST_CACHE_PEAK = 119_704
 CALL_PER_MISS_PEAK = 49_408
 
 
+# the same when each cache table was an array('d') of its own, before one
+# arena held them all
+ARRAY_PER_TABLE_PEAK = 45_464
+
+
 def grid_query_peak():
     """A KB-off query on a 9x9 grid, its answer outside tracemalloc, and
     its heap high-water mark in bytes under it."""
@@ -855,6 +861,34 @@ def test_table_fills_add_no_query_memory():
     res, _, peak = grid_query_peak()
     assert res.cache_misses == res.cache_cells == 1776
     assert peak <= 1.05 * CALL_PER_MISS_PEAK
+
+
+def test_one_arena_holds_every_table():
+    # a table costs its cells alone: no array header, no allocation of its own
+    res, expected, peak = grid_query_peak()
+    assert res.probability == expected.probability
+    assert res.cache_cells == 1776
+    assert peak <= 0.93 * ARRAY_PER_TABLE_PEAK
+
+
+def test_tables_past_the_cell_limit_are_refused(monkeypatch):
+    net, evidence = pinned_case(5142)
+    root = prepare_dtree(net)
+    kb = compile_kb(net)
+    cells = rc_query(net, root, evidence).cache_cells
+    monkeypatch.setattr(rcnet.engine, "MAX_CACHE_CELLS", cells)
+    assert rc_query(net, root, evidence, kb=kb).cache_cells == cells  # at the limit
+    monkeypatch.setattr(rcnet.engine, "MAX_CACHE_CELLS", cells - 1)
+    before = (list(kb.domain), kb.checkpoint())
+    message = re.escape(f"{cells:,} cells ({8 * cells:,} bytes)")
+    with pytest.raises(ValueError, match=message):
+        rc_query(net, root, evidence, kb=kb)
+    assert (kb.domain, kb.checkpoint()) == before
+    # a budget counts each cache's cells over its whole context, so one of at
+    # most the limit always fits
+    res = rc_query(net, root, evidence, policy=CachePolicy.budget(cells - 1), kb=kb)
+    assert 0 < res.cache_cells < cells
+    assert rel_err(res.probability, brute_force_probability(net, evidence)) <= 1e-12
 
 
 # Python heap held by the QueryPlan of the dtree below, in bytes, when the plan
@@ -994,7 +1028,9 @@ def test_grid_query_makes_no_noisy_or_calls(monkeypatch):
     assert calls
 
 
-def test_linear_underflow_is_answered_in_the_log_domain():
+def underflow_spine():
+    """A 1,200-level spine dtree and evidence whose probability underflows
+    linear arithmetic, with the document and the observed state names."""
     n = 1199
     doc = spine_chain_doc(n, seed=5)
     net = parse_network(json.dumps(doc))
@@ -1003,6 +1039,32 @@ def test_linear_underflow_is_answered_in_the_log_domain():
     mark_dead_caches(root)
     observed = {v.name: 1 for v in net.variables}  # every variable in its second state
     evidence = {net.var_id(name): s for name, s in observed.items()}
+    return net, root, evidence, doc, observed
+
+
+def test_linear_underflow_is_answered_in_the_log_domain():
+    net, root, evidence, doc, observed = underflow_spine()
     res = rc_query(net, root, evidence)  # linear: 10**-434.96 would underflow to 0.0
     assert res.log_value == pytest.approx(forward_log_probability(doc, observed), rel=1e-12)
     assert res.log10 == pytest.approx(-434.96, abs=0.005)
+
+
+def heap_peak(query):
+    """query()'s result and its heap high-water mark in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = query()
+        return res, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_linear_pass_is_freed_before_the_log_domain_retry():
+    net, root, evidence, _, _ = underflow_spine()
+    rc_query(net, root, evidence)  # lowers the plan and its log tables outside the window
+    retried, retried_peak = heap_peak(lambda: rc_query(net, root, evidence))
+    direct, direct_peak = heap_peak(lambda: rc_query(net, root, evidence, log_domain=True))
+    assert retried.log_domain and retried.log_value == direct.log_value
+    assert retried_peak <= 1.1 * direct_peak
