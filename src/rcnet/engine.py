@@ -54,6 +54,12 @@ since which cells are needed depends on what the KB refutes along the
 path.  Both orders compute each filled cell once, from the same children
 in the same cutset order, so values and counters do not depend on it.
 
+In the log domain a product is a sum of logs, and a sum is kept in place
+as the online normalizer of Milakov and Gimelshein (arXiv 1805.02867)
+keeps it: the largest term so far, and the sum of each term's exp
+relative to it, rescaled when a larger term comes.  A -inf term never
+reaches exp, where -inf - -inf would be NaN.
+
 With a knowledge base attached, the walk asks the KB about a state only
 where the answer can change what it does next.  At every open level but
 the last, each state is asserted once per instantiation of the open
@@ -204,6 +210,7 @@ class QueryResult:
             },
             "kb": {"enabled": self.kb_enabled, "skips": self.kb_skips},
             "kb_evidence_contradiction": self.kb_evidence_contradiction,
+            "log_domain": self.log_domain,
         }
 
 
@@ -378,15 +385,6 @@ def _plan_for(root: DtreeNode, network: Network) -> QueryPlan:
     return plan
 
 
-def _log_sum(terms: list[float]) -> float:
-    """Shifted exponent-sum of natural-log terms; empty or all-zero -> LOG_ZERO."""
-    finite = [t for t in terms if t != LOG_ZERO]
-    if not finite:
-        return LOG_ZERO
-    m = max(finite)
-    return m + math.log(sum(math.exp(t - m) for t in finite))
-
-
 def _enabled_caches(plan: QueryPlan, root: DtreeNode, policy: CachePolicy) -> tuple[int, ...]:
     """The ids of the nodes whose cache the policy enables, resolved by
     apply_policy on the plan's first query under the policy, in preorder:
@@ -510,6 +508,8 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], bases: array, sources: 
     a cell under a refuted branch is never computed.  Either way each
     filled cell is computed once, from the same children in the same
     cutset order, so the counters and values do not depend on the order.
+    A log-domain cell keeps its largest term so far in `top` and the sum of
+    exp(term - top) in `total`, and closes to top + log(total), or LOG_ZERO.
     """
     left, right, parent, leaf_var = plan.left, plan.right, plan.parent, plan.leaf_var
     network = plan.network
@@ -526,12 +526,11 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], bases: array, sources: 
     # otherwise every token is -1, and this list, as long as any walk's
     # levels, stands in for them all
     no_tokens = [-1] * plan.levels
-    # a table fill's levels, values and log terms; fills never nest, so the
-    # query keeps one of each
+    # a table fill's levels and the children's steps on them; fills never
+    # nest, so the query keeps one of each
     fill_vars: list[int] = []
     fill_l: list[int] = []
     fill_r: list[int] = []
-    fill_terms: list[float] = []
 
     def expand(t: int, table: array | None = None) -> float:
         """Sum over the open cutset of t of its children's product; given
@@ -593,7 +592,7 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], bases: array, sources: 
         k = len(open_vars)
         last = k - 1
         tokens = [-1] * last if last > 0 and kb is not None else no_tokens
-        terms = (fill_terms if table is not None else []) if log_domain else None
+        top = LOG_ZERO
         total = 0.0
         n = i = s = 0
         token = -1
@@ -608,11 +607,11 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], bases: array, sources: 
                         if table is None:
                             break
                         if log_domain:
-                            table[cell] = _log_sum(terms)
-                            terms.clear()
+                            table[cell] = top + math.log(total) if total else LOG_ZERO
+                            top = LOG_ZERO
                         else:
                             table[cell] = total
-                            total = 0.0
+                        total = 0.0
                         cell += 1
                     if i == 0:
                         break
@@ -662,19 +661,24 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], bases: array, sources: 
                 b = rsource[kr]
                 if b == empty:
                     b = rsource[kr] = expand(r)
-            if log_domain:
-                terms.append(a + b)
+            if log_domain:  # a -inf term never reaches exp: -inf - -inf is NaN
+                x = a + b
+                if x > top:
+                    total = total * math.exp(top - x) + 1.0
+                    top = x
+                elif x > LOG_ZERO:
+                    total += math.exp(x - top)
             else:
                 total += a * b
             if last < ctx:  # no open cutset: each product is a cell
                 if table is None:
                     break
                 if log_domain:
-                    table[cell] = _log_sum(terms)
-                    terms.clear()
+                    table[cell] = top + math.log(total) if total else LOG_ZERO
+                    top = LOG_ZERO
                 else:
                     table[cell] = total
-                    total = 0.0
+                total = 0.0
                 cell += 1
                 if not k:
                     break
@@ -685,7 +689,9 @@ def _run_plan(plan: QueryPlan, enabled: tuple[int, ...], bases: array, sources: 
             kr += rstep[i]
         evaluated += n
         lookups += n * ((type(lsource) is array) + (type(rsource) is array))
-        return _log_sum(terms) if log_domain else total
+        if log_domain:
+            return top + math.log(total) if total else LOG_ZERO
+        return total
 
     try:
         if kb is None:

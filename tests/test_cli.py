@@ -88,6 +88,19 @@ def test_query_log_space(capsys, tmp_path, gate_file):
     assert report["query"]["probability"] == pytest.approx(0.52, rel=1e-6)
 
 
+def test_query_reports_an_answer_from_the_log_domain(capsys, tmp_path, gate_file):
+    doc = spine_chain_doc(1199, seed=5)
+    net_path = write_json(tmp_path, "spine.json", doc)
+    # every variable in its second state: 10**-434.96, below any float
+    evidence = write_json(tmp_path, "e.json", {v["name"]: "1" for v in doc["variables"]})
+    spine = run_json(capsys, ["query", "--net", net_path, "--evidence", evidence,
+                              "--log-space", "off"])["query"]
+    assert spine["log_domain"] is True
+    assert spine["log10"] == pytest.approx(-434.96, abs=0.005)
+    gate = run_json(capsys, ["query", "--net", gate_file, "--log-space", "off"])["query"]
+    assert gate["log_domain"] is False
+
+
 def test_query_reports_the_cache_cells_it_allocated(capsys, tmp_path):
     doc = grid_doc(4, seed=2)
     observed = {"G0_1": "1", "G1_1": "0", "G2_0": "1", "G3_2": "0"}

@@ -467,6 +467,69 @@ def test_log_domain_exact_zero(gate):
     assert res.log10 is None
 
 
+def ordered_terms_network(prior, likelihood):
+    """R ~ prior, X | R uniform over as many states, Pr(B = 1 | X = x) =
+    likelihood[x], D uniform, E | R, D, and evidence B = 1; with the dtree
+    [[[X, B], E], [R, D]].  The root walks R then D, so its terms follow
+    `prior` (each twice, as D changes) when the likelihood is not all 0;
+    the cache at [X, B], keyed by R, sums over X terms in the order of
+    `likelihood`, and each of its cells is looked up twice."""
+    k = len(likelihood)
+    states = lambda n: [str(s) for s in range(n)]
+    net = parse_network(json.dumps({
+        "variables": [{"name": "R", "states": states(len(prior))},
+                      {"name": "X", "states": states(k)},
+                      {"name": "B", "states": states(2)},
+                      {"name": "D", "states": states(2)},
+                      {"name": "E", "states": states(2)}],
+        "cpts": [
+            {"child": "R", "parents": [], "kind": "table", "table": list(prior)},
+            {"child": "X", "parents": ["R"], "kind": "table",
+             "table": [1 / k] * (k * len(prior))},
+            {"child": "B", "parents": ["X"], "kind": "table",
+             "table": [p for w in likelihood for p in (1 - w, w)]},
+            {"child": "D", "parents": [], "kind": "table", "table": [0.5, 0.5]},
+            {"child": "E", "parents": ["R", "D"], "kind": "table",
+             "table": [0.6, 0.4, 0.1, 0.9] * len(prior)},
+        ],
+    }))
+    root = dtree_from_shape(net, [[["X", "B"], "E"], ["R", "D"]])
+    annotate(root)
+    mark_dead_caches(root)
+    live = [n for n in iter_nodes(root) if n.cache_state == LIVE]
+    assert [n.cutset for n in live] == [(net.var_id("X"),)]
+    return net, root, {net.var_id("B"): 1}
+
+
+# each branch of the log domain's running-maximum sum: a -inf term before a
+# rising run rescales the sum, a falling run adds to it and a trailing -inf
+# is left out, an equal term adds exp(0), and all -inf closes to LOG_ZERO
+@pytest.mark.parametrize("prior, likelihood", [
+    ((0.0, 0.3, 0.7), (0.0, 0.3, 0.7)),
+    ((0.7, 0.3, 0.0), (0.7, 0.3, 0.0)),
+    ((0.5, 0.5), (0.4, 0.4)),
+    ((0.5, 0.5), (0.0, 0.0, 0.0)),
+])
+def test_log_domain_sums_its_terms_in_place(prior, likelihood):
+    net, root, evidence = ordered_terms_network(prior, likelihood)
+    linear = rc_query(net, root, evidence).probability
+    expected = brute_force_probability(net, evidence)
+    values = set()
+    for policy in (CachePolicy.full(), CachePolicy.none()):
+        # no KB fills the cache before the root's walk, an empty one on demand
+        for kb in (None, KnowledgeBase(net.cards)):
+            res = rc_query(net, root, evidence, policy=policy, kb=kb, log_domain=True)
+            assert res.log_domain
+            assert res.cache_misses == (len(prior) if policy.max_cells is None else 0)
+            values.add(res.log_value)
+    (value,) = values
+    if expected == 0.0:
+        assert linear == 0.0 and value == LOG_ZERO
+    else:
+        assert value == pytest.approx(math.log(linear), rel=1e-12)
+        assert value == pytest.approx(math.log(expected), rel=1e-12)
+
+
 def test_star_dtree_query_with_dead_caches():
     net = star_network(6)
     root = dtree_from_shape(net, right_linear_shape(6))
@@ -601,6 +664,7 @@ def test_result_json_shape(gate):
     doc = rc_query(gate, root, {2: 1}).to_json_dict()
     assert set(doc) == {
         "probability", "log10", "rc_calls", "cache", "kb", "kb_evidence_contradiction",
+        "log_domain",
     }
     assert set(doc["cache"]) == {"hits", "misses", "written", "cells", "per_node"}
     assert set(doc["kb"]) == {"enabled", "skips"}

@@ -32,7 +32,7 @@ def small_round(workload: str, trace: int) -> dict:
     return result["metrics"]
 
 
-@pytest.mark.parametrize("workload", ["grid-full", "linkage-kb-budget"])
+@pytest.mark.parametrize("workload", ["grid-full", "linkage-kb-budget", "chain-prep-log"])
 def test_untraced_benchmark_round_reports_the_gated_metrics(workload):
     metrics = small_round(workload, trace=0)
     assert END_TO_END <= set(metrics)
