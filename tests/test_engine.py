@@ -468,12 +468,13 @@ def test_log_domain_exact_zero(gate):
 
 
 def ordered_terms_network(prior, likelihood):
-    """R ~ prior, X | R uniform over as many states, Pr(B = 1 | X = x) =
-    likelihood[x], D uniform, E | R, D, and evidence B = 1; with the dtree
-    [[[X, B], E], [R, D]].  The root walks R then D, so its terms follow
-    `prior` (each twice, as D changes) when the likelihood is not all 0;
-    the cache at [X, B], keyed by R, sums over X terms in the order of
-    `likelihood`, and each of its cells is looked up twice."""
+    """R ~ prior, X | R uniform over len(likelihood) states,
+    Pr(B = 1 | X = x) = likelihood[x], D uniform, E | R, D, and evidence
+    B = 1, with the dtree [[[X, B], E], [R, D]].  The root walks R then D,
+    so its terms follow `prior` (each twice, as D changes) when the
+    likelihood is not all 0; the cache at [X, B], keyed by R, sums over X
+    terms in the order of `likelihood`, and each of its cells is looked
+    up twice."""
     k = len(likelihood)
     states = lambda n: [str(s) for s in range(n)]
     net = parse_network(json.dumps({
